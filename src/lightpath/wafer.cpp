@@ -39,17 +39,9 @@ std::optional<TileId> Wafer::neighbor(TileId t, Direction d) const {
   return tile_at(c);
 }
 
-std::size_t Wafer::edge_index(TileId t, Direction d) const {
-  return static_cast<std::size_t>(t) * 4 + static_cast<std::size_t>(d);
-}
-
 std::uint32_t Wafer::lanes_free(TileId t, Direction d) const {
   if (!neighbor(t, d)) return 0;
   return params_.lanes_per_edge - edge_used_[edge_index(t, d)];
-}
-
-std::uint32_t Wafer::lanes_used(TileId t, Direction d) const {
-  return edge_used_[edge_index(t, d)];
 }
 
 bool Wafer::reserve_lanes(TileId t, Direction d, std::uint32_t n) {

@@ -55,7 +55,9 @@ class Wafer {
   /// Free lanes on the directed edge leaving `t` toward `d`.  0 if the edge
   /// does not exist (wafer boundary).
   [[nodiscard]] std::uint32_t lanes_free(TileId t, Direction d) const;
-  [[nodiscard]] std::uint32_t lanes_used(TileId t, Direction d) const;
+  [[nodiscard]] std::uint32_t lanes_used(TileId t, Direction d) const {
+    return edge_used_[edge_index(t, d)];
+  }
 
   /// Reserve `n` lanes on the directed edge; false (no change) on shortage.
   bool reserve_lanes(TileId t, Direction d, std::uint32_t n);
@@ -88,7 +90,9 @@ class Wafer {
  private:
   /// Dense index of the directed edge (t, d); edges off the wafer get a
   /// slot too (never used) to keep indexing branch-free.
-  [[nodiscard]] std::size_t edge_index(TileId t, Direction d) const;
+  [[nodiscard]] static std::size_t edge_index(TileId t, Direction d) {
+    return static_cast<std::size_t>(t) * 4 + static_cast<std::size_t>(d);
+  }
 
   WaferParams params_;
   std::vector<Tile> tiles_;

@@ -1,8 +1,9 @@
 #include "routing/router.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdlib>
 #include <limits>
-#include <queue>
 
 namespace lp::routing {
 
@@ -10,73 +11,145 @@ using fabric::Direction;
 using fabric::TileId;
 using fabric::Wafer;
 
+namespace {
+
+// State = tile * 5 + incoming direction; 4 is "none", used only by the source.
+constexpr std::uint32_t kNoDir = 4;
+constexpr std::uint32_t kStates = 5;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct HeapItem {
+  double key;   ///< cost so far + lower bound on the cost to go
+  double cost;  ///< cost so far (stale entries are skipped against dist)
+  std::uint32_t state;
+};
+
+constexpr auto kPopsAfter = [](const HeapItem& a, const HeapItem& b) {
+  return a.key > b.key;
+};
+
+// Per-thread search buffers: plan_jobs routes from ThreadPool workers, and a
+// search that reuses its buffers allocates nothing after the first call.
+struct Scratch {
+  std::vector<double> dist;
+  std::vector<std::uint32_t> touched;  ///< states whose dist is finite
+  std::vector<HeapItem> heap;
+
+  /// Resets to "every state unreached" for a wafer with `states` states.
+  void reset(std::size_t states) {
+    if (dist.size() != states) {
+      dist.assign(states, kInf);
+    } else {
+      for (const std::uint32_t s : touched) dist[s] = kInf;
+    }
+    touched.clear();
+    heap.clear();
+  }
+};
+
+thread_local Scratch t_scratch;
+
+}  // namespace
+
 std::optional<std::vector<Direction>> find_route(const Wafer& wafer, TileId from,
                                                  TileId to, const RouteOptions& options) {
   if (from == to) return std::vector<Direction>{};
 
-  // State space: tile x incoming direction (4 dirs + 1 "none" for source).
-  constexpr std::size_t kNoDir = 4;
-  const std::size_t tiles = wafer.tile_count();
-  const std::size_t states = tiles * 5;
-  std::vector<double> dist(states, std::numeric_limits<double>::infinity());
-  std::vector<std::int32_t> prev_state(states, -1);
+  const std::int32_t rows = wafer.rows();
+  const std::int32_t cols = wafer.cols();
+  const std::uint32_t capacity = wafer.params().lanes_per_edge;
+  const double penalty = options.turn_penalty;
+  const std::int32_t to_row = static_cast<std::int32_t>(to) / cols;
+  const std::int32_t to_col = static_cast<std::int32_t>(to) % cols;
+  // Row, column and tile-index steps per direction, in Direction order
+  // (N, E, S, W).
+  constexpr std::int32_t kRowStep[4] = {-1, 0, 1, 0};
+  constexpr std::int32_t kColStep[4] = {0, 1, 0, -1};
+  const std::int32_t delta[4] = {-cols, 1, cols, -1};
 
-  const auto state_of = [](TileId t, std::size_t in_dir) {
-    return static_cast<std::size_t>(t) * 5 + in_dir;
+  const auto has_lanes = [&](TileId t, std::uint32_t d) {
+    return capacity - wafer.lanes_used(t, static_cast<Direction>(d)) >= options.lanes;
+  };
+  const auto turn_cost = [&](std::uint32_t in_dir, std::uint32_t d) {
+    return in_dir != kNoDir && in_dir != d ? penalty : 0.0;
+  };
+  // Lower bound on the cost to go, valid on the unconstrained grid: Manhattan
+  // distance, plus one turn unless the tile is aligned with `to` and already
+  // heading at it.
+  const auto bound = [&](std::int32_t row, std::int32_t col, std::uint32_t in_dir) {
+    const std::int32_t dr = to_row - row;
+    const std::int32_t dc = to_col - col;
+    const double manhattan = std::abs(dr) + std::abs(dc);
+    if (dr != 0 && dc != 0) return manhattan + penalty;
+    if (dr == 0 && dc == 0) return 0.0;
+    const std::uint32_t toward = dr < 0   ? 0   // north
+                                 : dr > 0 ? 2   // south
+                                 : dc > 0 ? 1   // east
+                                          : 3;  // west
+    return manhattan + turn_cost(in_dir, toward);
   };
 
-  struct Item {
-    double cost;
-    std::size_t state;
-    bool operator>(const Item& o) const { return cost > o.cost; }
+  Scratch& sc = t_scratch;
+  sc.reset(static_cast<std::size_t>(wafer.tile_count()) * kStates);
+  std::vector<double>& dist = sc.dist;
+  std::vector<HeapItem>& heap = sc.heap;
+  const auto relax = [&](std::uint32_t state, double cost, double key) {
+    if (dist[state] == kInf) sc.touched.push_back(state);
+    dist[state] = cost;
+    heap.push_back(HeapItem{key, cost, state});
+    std::push_heap(heap.begin(), heap.end(), kPopsAfter);
   };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
 
-  const std::size_t start = state_of(from, kNoDir);
-  dist[start] = 0.0;
-  heap.push(Item{0.0, start});
+  const std::uint32_t start = from * kStates + kNoDir;
+  relax(start, 0.0, 0.0);  // the only entry, so its key is irrelevant
 
-  while (!heap.empty()) {
-    const auto [cost, state] = heap.top();
-    heap.pop();
-    if (cost > dist[state]) continue;
-    const TileId tile = static_cast<TileId>(state / 5);
-    const std::size_t in_dir = state % 5;
-    if (tile == to) break;
-
-    for (Direction d : fabric::kAllDirections) {
-      const auto next = wafer.neighbor(tile, d);
-      if (!next) continue;
-      if (wafer.lanes_free(tile, d) < options.lanes) continue;
-      const bool is_turn =
-          in_dir != kNoDir && d != static_cast<Direction>(in_dir);
-      const double step = 1.0 + (is_turn ? options.turn_penalty : 0.0);
-      const std::size_t next_state = state_of(*next, static_cast<std::size_t>(d));
-      if (dist[state] + step < dist[next_state]) {
-        dist[next_state] = dist[state] + step;
-        prev_state[next_state] = static_cast<std::int32_t>(state);
-        heap.push(Item{dist[next_state], next_state});
+  // Pop every state whose key is at most the best terminal cost: with a
+  // consistent bound that settles every state on every minimum-cost path,
+  // so the back-trace below sees all equal-cost alternatives.
+  double best = kInf;
+  while (!heap.empty() && heap.front().key <= best) {
+    const HeapItem item = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), kPopsAfter);
+    heap.pop_back();
+    if (item.cost > dist[item.state]) continue;
+    const TileId tile = item.state / kStates;
+    if (tile == to) {
+      best = std::min(best, item.cost);
+      continue;
+    }
+    const std::uint32_t in_dir = item.state % kStates;
+    const std::int32_t row = static_cast<std::int32_t>(tile) / cols;
+    const std::int32_t col = static_cast<std::int32_t>(tile) % cols;
+    const bool on_wafer[4] = {row > 0, col + 1 < cols, row + 1 < rows, col > 0};
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      if (!on_wafer[d] || !has_lanes(tile, d)) continue;
+      const auto next = static_cast<TileId>(static_cast<std::int32_t>(tile) + delta[d]);
+      const std::uint32_t next_state = next * kStates + d;
+      const double cost = item.cost + 1.0 + turn_cost(in_dir, d);
+      if (cost < dist[next_state]) {
+        relax(next_state, cost, cost + bound(row + kRowStep[d], col + kColStep[d], d));
       }
     }
   }
+  if (best == kInf) return std::nullopt;
 
-  // Best terminal state at `to` over all incoming directions.
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_state = 0;
-  for (std::size_t in = 0; in < 5; ++in) {
-    const std::size_t s = state_of(to, in);
-    if (dist[s] < best) {
-      best = dist[s];
-      best_state = s;
-    }
-  }
-  if (!std::isfinite(best)) return std::nullopt;
-
+  // Back-trace from the cheapest terminal (lowest in-dir on ties), taking at
+  // each step the lowest-in-dir predecessor on a minimum-cost path.  The
+  // route is a pure function of (ledger, from, to, options), whatever order
+  // the heap popped equal keys in.
+  std::uint32_t s = to * kStates;
+  while (dist[s] != best) ++s;
   std::vector<Direction> hops;
-  std::size_t s = best_state;
-  while (prev_state[s] >= 0) {
-    hops.push_back(static_cast<Direction>(s % 5));
-    s = static_cast<std::size_t>(prev_state[s]);
+  while (s != start) {
+    const std::uint32_t d = s % kStates;
+    hops.push_back(static_cast<Direction>(d));
+    const auto prev_tile =
+        static_cast<TileId>(static_cast<std::int32_t>(s / kStates) - delta[d]);
+    assert(has_lanes(prev_tile, d));
+    std::uint32_t p = prev_tile * kStates;
+    while (dist[p] + 1.0 + turn_cost(p % kStates, d) != dist[s]) ++p;
+    assert(p < (prev_tile + 1) * kStates);
+    s = p;
   }
   std::reverse(hops.begin(), hops.end());
   return hops;
