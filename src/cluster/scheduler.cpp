@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -95,22 +94,10 @@ void ClusterScheduler::accumulate_metrics(TimePoint to) {
   }
 }
 
-Duration ClusterScheduler::detection_delay(TimePoint at) const {
-  // Heartbeat detection: noticed at the first tick at or after the strike,
-  // diagnosed detection_latency later (TrainingRun's formula).
-  const double hb = params_.recovery.heartbeat_interval.to_seconds();
-  const double t = at.to_seconds();
-  return Duration::seconds(std::ceil(t / hb) * hb - t) +
-         params_.recovery.detection_latency;
-}
-
-double ClusterScheduler::gray_rate() const {
+std::uint64_t ClusterScheduler::flapping_population() const {
   const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
-  const std::uint64_t flappy =
-      params_.flappy_chips == 0
-          ? chips
-          : std::min<std::uint64_t>(params_.flappy_chips, chips);
-  return static_cast<double>(flappy) * params_.flap_rate_per_hour / 3600.0;
+  return params_.flappy_chips == 0 ? chips
+                                   : std::min<std::uint64_t>(params_.flappy_chips, chips);
 }
 
 bool ClusterScheduler::chip_usable(topo::TpuId chip) {
@@ -380,47 +367,23 @@ void ClusterScheduler::try_admit() {
 // Fault events.
 // ---------------------------------------------------------------------------
 
-ClusterScheduler::FaultEvent ClusterScheduler::draw_fault() {
+ScriptedClusterFault ClusterScheduler::draw_fault() {
   const fault::SampledFaults sf = injector_.sample_with_domain(fault_body_);
-  const auto anchor = static_cast<topo::TpuId>(
+  ScriptedClusterFault s;
+  s.anchor = static_cast<topo::TpuId>(
       victims_.uniform_index(static_cast<std::uint64_t>(cluster_.chip_count())));
-  FaultEvent ev;
-  ev.kind = sf.faults.front().kind;
+  s.kind = sf.faults.front().kind;
   switch (sf.domain) {
-    case fault::BurstDomain::kNone:
-      ev.domain = FaultDomain::kChip;
-      ev.fatal = ev.kind == fault::FaultKind::kChipDeath;
-      ev.victims = {anchor};
-      break;
-    case fault::BurstDomain::kWafer: {
-      ev.domain = FaultDomain::kServer;
-      ev.fatal = true;
-      ev.victims = cluster_.server_chips(anchor);
-      break;
-    }
-    case fault::BurstDomain::kRackPower: {
-      ev.domain = FaultDomain::kRackPower;
-      ev.fatal = true;
-      const std::int32_t spr = cluster_.servers_per_rack();
-      const auto span = std::min<std::int32_t>(
-          static_cast<std::int32_t>(sf.faults.size()), spr);
-      const std::int32_t first = cluster_.server_of(anchor);
-      const topo::RackId rack = cluster_.rack_of(anchor);
-      const std::int32_t per = cluster_.chips_per_rack();
-      for (std::int32_t i = 0; i < per; ++i) {
-        const topo::TpuId chip = rack * per + i;
-        const std::int32_t rel =
-            ((cluster_.server_of(chip) - first) % spr + spr) % spr;
-        if (rel < span) ev.victims.push_back(chip);
-      }
-      break;
-    }
+    case fault::BurstDomain::kNone: s.domain = FaultDomain::kChip; break;
+    case fault::BurstDomain::kWafer: s.domain = FaultDomain::kServer; break;
+    case fault::BurstDomain::kRackPower: s.domain = FaultDomain::kRackPower; break;
   }
-  std::sort(ev.victims.begin(), ev.victims.end());
-  return ev;
+  // A rack-power burst takes down one server per sampled fault.
+  s.servers = static_cast<std::int32_t>(sf.faults.size());
+  return s;
 }
 
-ClusterScheduler::FaultEvent ClusterScheduler::scripted_fault(
+ClusterScheduler::FaultEvent ClusterScheduler::fault_event(
     const ScriptedClusterFault& s) const {
   FaultEvent ev;
   ev.kind = s.kind;
@@ -507,6 +470,28 @@ Duration ClusterScheduler::price_recovery(fault::FaultKind flags_kind, bool fata
   return res.total();
 }
 
+std::vector<topo::TpuId> ClusterScheduler::survivors_of(
+    const Job& job, const std::vector<topo::TpuId>& dead) {
+  std::vector<topo::TpuId> survivors;
+  for (const topo::TpuId c : job.chips) {
+    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
+  }
+  return survivors;
+}
+
+void ClusterScheduler::set_degraded_rate(Job& job) const {
+  job.rate = std::pow(params_.morph_bandwidth_factor, static_cast<double>(job.morphs)) *
+             (static_cast<double>(job.chips.size()) /
+              static_cast<double>(job.original_volume));
+}
+
+void ClusterScheduler::bank_progress(Job& job, TimePoint at) const {
+  const Duration elapsed = std::max(Duration::zero(), at - job.started);
+  job.progress = std::min(job.service, job.progress + elapsed * job.rate);
+  const double ci = params_.checkpoint_interval.to_seconds();
+  job.checkpointed = Duration::seconds(std::floor(job.progress.to_seconds() / ci) * ci);
+}
+
 bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
   // One free chip of the same rack per dead chip, ascending chip id; all or
   // nothing.
@@ -533,10 +518,7 @@ bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
   }
   // Commit: the slice (if any) becomes a chip set; survivors and spares
   // carry the job.
-  std::vector<topo::TpuId> survivors;
-  for (const topo::TpuId c : job.chips) {
-    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
-  }
+  std::vector<topo::TpuId> survivors = survivors_of(job, dead);
   if (job.slice >= 0) {
     alloc_.release(job.slice);
     job.slice = -1;
@@ -546,7 +528,7 @@ bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
   for (const topo::TpuId d : dead) {
     chip_owner_[static_cast<std::size_t>(d)] = -1;
   }
-  job.chips = survivors;
+  job.chips = std::move(survivors);
   for (const topo::TpuId s : spares) job.chips.push_back(s);
   std::sort(job.chips.begin(), job.chips.end());
   for (const topo::TpuId c : job.chips) {
@@ -568,10 +550,7 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   std::vector<Fragment> fresh = harvest(needed);
   if (fresh.empty() && needed > 0) return false;  // infeasible, not an abort
 
-  std::vector<topo::TpuId> survivors;
-  for (const topo::TpuId c : job.chips) {
-    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
-  }
+  std::vector<topo::TpuId> survivors = survivors_of(job, dead);
   // Fragment list: survivors grouped by rack (ascending), then the fresh
   // harvest.
   std::vector<Fragment> frags;
@@ -619,7 +598,7 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   for (const topo::TpuId d : dead) {
     chip_owner_[static_cast<std::size_t>(d)] = -1;
   }
-  job.chips = survivors;
+  job.chips = std::move(survivors);
   for (const Fragment& f : fresh) {
     for (const topo::TpuId c : f.chips) job.chips.push_back(c);
   }
@@ -631,19 +610,13 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   }
   job.morphed = true;
   ++job.morphs;
-  job.rate = std::pow(params_.morph_bandwidth_factor,
-                      static_cast<double>(job.morphs)) *
-             (static_cast<double>(job.chips.size()) /
-              static_cast<double>(job.original_volume));
+  set_degraded_rate(job);
   ++report_.morphs;
   return true;
 }
 
 void ClusterScheduler::shrink(Job& job, const std::vector<topo::TpuId>& dead) {
-  std::vector<topo::TpuId> survivors;
-  for (const topo::TpuId c : job.chips) {
-    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
-  }
+  std::vector<topo::TpuId> survivors = survivors_of(job, dead);
   if (job.slice >= 0) {
     alloc_.release(job.slice);
     job.slice = -1;
@@ -655,12 +628,9 @@ void ClusterScheduler::shrink(Job& job, const std::vector<topo::TpuId>& dead) {
     chip_owner_[static_cast<std::size_t>(d)] = -1;
     mark_rack_dirty(cluster_.rack_of(d));
   }
-  job.chips = survivors;
+  job.chips = std::move(survivors);
   job.morphed = true;
-  job.rate = std::pow(params_.morph_bandwidth_factor,
-                      static_cast<double>(job.morphs)) *
-             (static_cast<double>(job.chips.size()) /
-              static_cast<double>(job.original_volume));
+  set_degraded_rate(job);
   ++report_.elastic_shrinks;
 }
 
@@ -668,12 +638,7 @@ void ClusterScheduler::requeue(Job& job) {
   if (job.running) {
     // Bank progress made since the last (re)start before rolling back to
     // the checkpoint — requeue is always a state loss.
-    const Duration elapsed =
-        std::max(Duration::zero(), engine_.now() - job.started);
-    job.progress = std::min(job.service, job.progress + elapsed * job.rate);
-    const double ci = params_.checkpoint_interval.to_seconds();
-    job.checkpointed =
-        Duration::seconds(std::floor(job.progress.to_seconds() / ci) * ci);
+    bank_progress(job, engine_.now());
     report_.lost.redo += job.progress - job.checkpointed;
     job.running = false;
     --running_;
@@ -696,15 +661,9 @@ void ClusterScheduler::requeue(Job& job) {
 
 void ClusterScheduler::stall_and_resume(Job& job, Duration stall, bool state_loss,
                                         TimePoint at) {
-  const Duration elapsed = std::max(Duration::zero(), at - job.started);
-  job.progress += elapsed * job.rate;
-  job.progress = std::min(job.progress, job.service);
-  const double ci = params_.checkpoint_interval.to_seconds();
-  job.checkpointed =
-      Duration::seconds(std::floor(job.progress.to_seconds() / ci) * ci);
+  bank_progress(job, at);
   if (state_loss) {
-    const Duration redo = job.progress - job.checkpointed;
-    report_.lost.redo += redo;
+    report_.lost.redo += job.progress - job.checkpointed;
     job.progress = job.checkpointed;
   }
   --running_;
@@ -776,21 +735,10 @@ void ClusterScheduler::recover_electrical(Job& job,
   requeue(job);
 }
 
-void ClusterScheduler::on_fault(std::size_t script_index) {
+void ClusterScheduler::on_fault(const ScriptedClusterFault& s) {
   const TimePoint now = engine_.now();
   accumulate_metrics(now);
-  FaultEvent ev;
-  if (script_index != SIZE_MAX) {
-    ev = scripted_fault(params_.script[script_index]);
-  } else {
-    ev = draw_fault();
-    const double rate = static_cast<double>(cluster_.chip_count()) /
-                        (params_.mtbf_hours * 3600.0);
-    const TimePoint next = now + Duration::seconds(fault_clock_.exponential(rate));
-    if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(next, [this] { on_fault(SIZE_MAX); });
-    }
-  }
+  const FaultEvent ev = fault_event(s);
   ++report_.fault_events;
   if (!ev.fatal) ++report_.component_events;
 
@@ -805,7 +753,8 @@ void ClusterScheduler::on_fault(std::size_t script_index) {
   affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
 
   apply_fault(ev);
-  const Duration detect = detection_delay(now);
+  const Duration strike = Duration::seconds(now.to_seconds());
+  const Duration detect = params_.recovery.detected_at(strike) - strike;
   for (const std::uint64_t id : affected) {
     auto it = jobs_.find(id);
     if (it == jobs_.end() || !it->second.running) continue;
@@ -831,31 +780,21 @@ void ClusterScheduler::on_fault(std::size_t script_index) {
 void ClusterScheduler::on_gray() {
   const TimePoint now = engine_.now();
   accumulate_metrics(now);
-  // Reschedule first so a long repair stall never silences the flap clock.
-  const TimePoint next = now + Duration::seconds(gray_clock_.exponential(gray_rate()));
-  if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-    engine_.schedule_at(next, [this] { on_gray(); });
-  }
   ++report_.flap_events;
   const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
-  const std::uint64_t flappy =
-      params_.flappy_chips == 0
-          ? chips
-          : std::min<std::uint64_t>(params_.flappy_chips, chips);
+  const std::uint64_t flappy = flapping_population();
   // Victim i of the flappy population sits at an even stride, so the gray
   // chips spread across racks instead of clustering in rack 0.
   const std::uint64_t stride = std::max<std::uint64_t>(1, chips / flappy);
   const auto chip = static_cast<topo::TpuId>(
       (gray_victims_.uniform_index(flappy) * stride) % chips);
-  if (params_.gray_hysteresis) {
-    // Score the flap.  While quarantined the damper suppresses the repair
-    // (the job rides the dips out) and chip_usable() keeps harvest/respare
-    // off the chip until its probation hold completes cleanly.
-    const auto key = static_cast<std::uint64_t>(chip);
-    const Duration t = Duration::seconds(now.to_seconds());
-    const fault::LinkState before = damper_.state(key, t);
-    damper_.record_flap(key, t);
-    if (before == fault::LinkState::kQuarantined) return;
+  const Duration strike = Duration::seconds(now.to_seconds());
+  // A flap that leaves the chip quarantined is ridden out (the job rides
+  // the dips out), and chip_usable() keeps harvest/respare off the chip
+  // until its probation hold completes cleanly.
+  if (params_.gray_hysteresis &&
+      damper_.ride_out(static_cast<std::uint64_t>(chip), strike)) {
+    return;
   }
   // Naive response — and the dampened arm's pre-quarantine thrash: the flap
   // is indistinguishable from a component fault, so the owning job pays the
@@ -866,7 +805,7 @@ void ClusterScheduler::on_gray() {
   if (it == jobs_.end() || !it->second.running) return;
   ++report_.detections;
   ++report_.flap_repairs;
-  const Duration detect = detection_delay(now);
+  const Duration detect = params_.recovery.detected_at(strike) - strike;
   if (params_.policy == SchedulerPolicy::kElectricalOnly) {
     recover_electrical(it->second, {}, detect);
   } else {
@@ -899,14 +838,7 @@ void ClusterScheduler::admit_new_job(topo::Shape shape, Duration service) {
 }
 
 void ClusterScheduler::on_arrival() {
-  const TimePoint now = engine_.now();
-  accumulate_metrics(now);
-  const TimePoint next =
-      now + Duration::seconds(arrivals_.exponential(params_.arrival_rate_per_s));
-  if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-    engine_.schedule_at(next, [this] { on_arrival(); });
-  }
-
+  accumulate_metrics(engine_.now());
   // Job attributes come from their own stream so arrival-clock draws never
   // perturb them.
   double total_weight = 0.0;
@@ -958,6 +890,9 @@ ClusterReport ClusterScheduler::run() {
   report_ = ClusterReport{};
   report_.policy = params_.policy;
 
+  // Poisson arrivals, faults and flaps stop at the horizon; the drain only
+  // finishes work already in flight.
+  const TimePoint horizon = TimePoint::at_seconds(params_.horizon.to_seconds());
   if (!params_.job_script.empty()) {
     for (std::size_t i = 0; i < params_.job_script.size(); ++i) {
       engine_.schedule_at(
@@ -965,33 +900,24 @@ ClusterReport ClusterScheduler::run() {
           [this, i] { on_scripted_arrival(i); });
     }
   } else {
-    const TimePoint first_arrival = TimePoint::at_seconds(0.0) +
-        Duration::seconds(arrivals_.exponential(params_.arrival_rate_per_s));
-    if (first_arrival < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(first_arrival, [this] { on_arrival(); });
-    }
+    sim::schedule_poisson(engine_, arrivals_, params_.arrival_rate_per_s, horizon,
+                          [this] { on_arrival(); });
   }
   if (!params_.script.empty()) {
     for (std::size_t i = 0; i < params_.script.size(); ++i) {
       engine_.schedule_at(TimePoint::at_seconds(params_.script[i].at.to_seconds()),
-                          [this, i] { on_fault(i); });
+                          [this, i] { on_fault(params_.script[i]); });
     }
   } else if (params_.mtbf_hours > 0.0) {
-    const double rate = static_cast<double>(cluster_.chip_count()) /
-                        (params_.mtbf_hours * 3600.0);
-    const TimePoint first_fault = TimePoint::at_seconds(0.0) +
-        Duration::seconds(fault_clock_.exponential(rate));
-    if (first_fault < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(first_fault, [this] { on_fault(SIZE_MAX); });
-    }
+    sim::schedule_poisson(
+        engine_, fault_clock_,
+        static_cast<double>(cluster_.chip_count()) / (params_.mtbf_hours * 3600.0),
+        horizon, [this] { on_fault(draw_fault()); });
   }
-  if (params_.flap_rate_per_hour > 0.0) {
-    const TimePoint first_gray = TimePoint::at_seconds(0.0) +
-        Duration::seconds(gray_clock_.exponential(gray_rate()));
-    if (first_gray < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(first_gray, [this] { on_gray(); });
-    }
-  }
+  sim::schedule_poisson(
+      engine_, gray_clock_,
+      static_cast<double>(flapping_population()) * params_.flap_rate_per_hour / 3600.0,
+      horizon, [this] { on_gray(); });
 
   const TimePoint end =
       TimePoint::at_seconds((params_.horizon + params_.drain).to_seconds());
@@ -1040,29 +966,16 @@ ClusterReport run_cluster(const ClusterParams& params) {
 
 ClusterSweepReport run_cluster_sweep(const ClusterSweepConfig& config) {
   const std::size_t trials = config.trials;
-  const std::size_t per_point = trials * 2;
-  const std::size_t total = config.mtbf_points.size() * per_point;
-
-  std::vector<ClusterReport> reports(total);
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(total, [&](std::size_t idx, unsigned) {
-    const std::size_t p = idx / per_point;
-    const std::size_t rem = idx % per_point;
-    const bool photonic = rem < trials;
-    const std::size_t trial = photonic ? rem : rem - trials;
-    ClusterParams cp = config.base;
-    cp.mtbf_hours = config.mtbf_points[p];
-    cp.policy = photonic ? SchedulerPolicy::kPhotonicMorph
-                         : SchedulerPolicy::kElectricalOnly;
-    // Both policies of a (point, trial) pair share a seed: the identical
-    // arrival and fault streams — a paired comparison.
-    cp.seed = util::task_seed(config.base.seed, p * trials + trial);
-    reports[idx] = run_cluster(cp);
-  });
+  const std::vector<ClusterReport> reports = util::paired_sweep<ClusterReport>(
+      config.mtbf_points.size(), trials, config.base.seed, config.threads,
+      [&](std::size_t p, std::size_t arm, std::uint64_t seed) {
+        ClusterParams cp = config.base;
+        cp.mtbf_hours = config.mtbf_points[p];
+        cp.policy = arm == 0 ? SchedulerPolicy::kPhotonicMorph
+                             : SchedulerPolicy::kElectricalOnly;
+        cp.seed = seed;
+        return run_cluster(cp);
+      });
 
   ClusterSweepReport out;
   const auto chip_count =
@@ -1076,7 +989,7 @@ ClusterSweepReport run_cluster_sweep(const ClusterSweepConfig& config) {
       pt.trials = config.trials;
       for (std::size_t t = 0; t < trials; ++t) {
         const ClusterReport& r =
-            reports[p * per_point + static_cast<std::size_t>(pol) * trials + t];
+            reports[(p * 2 + static_cast<std::size_t>(pol)) * trials + t];
         pt.accepted_load_mean += r.accepted_load();
         pt.goodput_mean += r.goodput(chip_count);
         pt.queue_delay_p50_s += r.queue_delay_p50_s;

@@ -152,9 +152,10 @@ struct ClusterParams {
   /// without dying (0 disables the layer; the pre-gray report is
   /// bit-identical).  Naive treats every flap as a component fault and pays
   /// a detection + in-place-repair stall; with gray_hysteresis the
-  /// FlapDamper quarantines repeat flappers — repairs are suppressed while
-  /// quarantined, and harvest/respare defer morphing onto chips still in
-  /// quarantine or probation until the probation hold completes cleanly.
+  /// FlapDamper quarantines repeat flappers — a flap that leaves its chip
+  /// quarantined is ridden out (FlapDamper::ride_out), and harvest/respare
+  /// defer morphing onto chips still in quarantine or probation until the
+  /// probation hold completes cleanly.
   double flap_rate_per_hour{0.0};
   /// Gray events concentrate on this many chips (evenly strided across the
   /// cluster): empirically a small fixed population of marginal components
@@ -209,7 +210,8 @@ struct ClusterReport {
   /// Flaps answered with a component-repair stall (the naive arm's cost,
   /// and the dampened arm's pre-quarantine thrash).
   std::uint64_t flap_repairs{0};
-  /// Flaps ridden out while the chip was quarantined (damper-suppressed).
+  /// Flaps ridden out on an already-quarantined chip (damper-suppressed);
+  /// the flap that trips quarantine is counted in chip_quarantines.
   std::uint64_t suppressed_repairs{0};
   std::uint64_t chip_quarantines{0};
   std::uint64_t chip_probations{0};
@@ -313,7 +315,7 @@ class ClusterScheduler {
   void on_arrival();
   void on_scripted_arrival(std::size_t index);
   void admit_new_job(topo::Shape shape, Duration service);
-  void on_fault(std::size_t script_index);
+  void on_fault(const ScriptedClusterFault& s);
   void on_gray();
   void on_completion(std::uint64_t id, std::uint32_t generation);
 
@@ -329,8 +331,11 @@ class ClusterScheduler {
   void start_job(Job& job, TimePoint at);
 
   // --- fault response ---
-  [[nodiscard]] FaultEvent draw_fault();
-  [[nodiscard]] FaultEvent scripted_fault(const ScriptedClusterFault& s) const;
+  /// Draws one Poisson fault in scripted form: the sampled burst domain,
+  /// a uniform anchor chip, and the rack-power span in servers.
+  [[nodiscard]] ScriptedClusterFault draw_fault();
+  /// Expands a fault to its victim chips (ascending, unique).
+  [[nodiscard]] FaultEvent fault_event(const ScriptedClusterFault& s) const;
   void apply_fault(const FaultEvent& ev);
   void recover_photonic(Job& job, const FaultEvent& ev,
                         const std::vector<topo::TpuId>& dead, Duration detect);
@@ -346,16 +351,24 @@ class ClusterScheduler {
   [[nodiscard]] Duration price_recovery(fault::FaultKind flags_kind, bool fatal);
 
   // --- bookkeeping ---
+  /// The job's chips that are not in `dead` (ascending, like both inputs).
+  [[nodiscard]] static std::vector<topo::TpuId> survivors_of(
+      const Job& job, const std::vector<topo::TpuId>& dead);
+  /// Progress rate after morphs/shrinks: morph_bandwidth_factor per morph,
+  /// scaled by the surviving fraction of the original volume.
+  void set_degraded_rate(Job& job) const;
+  /// Banks the progress made since job.started (capped at the service
+  /// demand) and moves the checkpoint to the last interval boundary below.
+  void bank_progress(Job& job, TimePoint at) const;
   void stall_and_resume(Job& job, Duration stall, bool state_loss, TimePoint at);
   void accumulate_metrics(TimePoint to);
   void mark_rack_dirty(topo::RackId rack);
   void refresh_racks();
-  [[nodiscard]] Duration detection_delay(TimePoint at) const;
   /// Whether harvest/respare may take this chip now: false while the flap
   /// damper holds it in quarantine or probation (gray layer on only).
   [[nodiscard]] bool chip_usable(topo::TpuId chip);
-  /// Aggregate gray-event rate (events/s) over the flapping population.
-  [[nodiscard]] double gray_rate() const;
+  /// Chips gray events land on (flappy_chips, or every chip when 0).
+  [[nodiscard]] std::uint64_t flapping_population() const;
   [[nodiscard]] fabric::GlobalTile cursor_tile(fabric::WaferId wafer);
   void fold_digest(std::uint64_t v);
 

@@ -252,7 +252,8 @@ struct ComponentWorkspace {
 
     fs.apply_to(fab, params.model.quarantine_threshold);
     const auto diagnoses = monitor.scan(fab, fs);
-    for (const fault::CircuitDiagnosis& d : diagnoses) {
+    for (std::size_t v = 0; v < diagnoses.size(); ++v) {
+      const fault::CircuitDiagnosis& d = diagnoses[v];
       ++r.degraded;
       if (d.health == fault::CircuitHealth::kDown) ++r.hard_down;
 
@@ -264,10 +265,12 @@ struct ComponentWorkspace {
         return monitor.diagnose(f, fs, id).health == fault::CircuitHealth::kHealthy;
       };
       if (params.settle_failure_probability > 0.0) {
-        // Per-(trial, circuit) oracle stream: deterministic regardless of
-        // how trials land on workers.
+        // Per-(trial, victim) oracle stream, keyed on the victim's position
+        // in the scan: circuit ids count every circuit the worker's
+        // template ever established, so they depend on how trials land on
+        // workers; scan positions do not.
         const std::uint64_t oracle_seed = util::task_seed(
-            util::task_seed(params.seed, trial), 0x5e771e ^ d.id);
+            util::task_seed(params.seed, trial), 0x5e771e ^ v);
         const double p = params.settle_failure_probability;
         opts.transient_failure = [oracle_seed, p](routing::RepairRung,
                                                   std::uint32_t attempt) {

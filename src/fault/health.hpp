@@ -109,8 +109,8 @@ class HealthMonitor {
 // Scoring is exponentially weighted: each observed down-transition adds
 // flap_penalty to the link's score, and the score decays by half every
 // half_life_seconds.  While quarantined, repairs are suppressed (the
-// consumer rides out the dips and routes around the link); probation
-// re-admits the link but one more flap relapses straight back to
+// consumer rides out the dips and routes around the link — ride_out());
+// probation re-admits the link but one more flap relapses straight back to
 // quarantine.
 //
 // Boundary contract (pinned in fault_test): threshold comparisons are
@@ -187,10 +187,14 @@ class FlapDamper {
   /// Decayed flap score at `t` (untracked keys score zero).
   [[nodiscard]] double score(std::uint64_t key, Duration t);
 
-  /// Whether the consumer should climb the repair ladder for this link at
-  /// `t` — false exactly while quarantined.
-  [[nodiscard]] bool repair_allowed(std::uint64_t key, Duration t) {
-    return state(key, t) != LinkState::kQuarantined;
+  /// The ride-out rule every consumer applies to an observed flap: scores
+  /// it (record_flap) and returns true when the link is quarantined
+  /// afterwards — the tripping flap, a relapse from probation, or any flap
+  /// while already quarantined.  The consumer rides such a flap out and
+  /// climbs the repair ladder for every other one, so per link
+  /// flaps == climbs + stats().suppressed_repairs + stats().quarantines.
+  [[nodiscard]] bool ride_out(std::uint64_t key, Duration t) {
+    return record_flap(key, t) == LinkState::kQuarantined;
   }
 
  private:

@@ -45,10 +45,7 @@ ConcurrentPlanResult plan_jobs(fabric::Fabric& fab,
   std::vector<std::uint64_t> found_per_job(jobs.size(), 0);
   std::atomic<std::uint64_t> overlay_rejected{0};
 
-  const unsigned want = threads != 0 ? threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool = want == 0 ? util::ThreadPool::shared() : local.emplace(want);
-  pool.run(jobs.size(), [&](std::size_t j, unsigned) {
+  util::run_tasks(threads, jobs.size(), [&](std::size_t j) {
     std::vector<Precomputed> out;
     const std::vector<Demand> ordered = plan_order(fab, jobs[j]);
     out.reserve(ordered.size());

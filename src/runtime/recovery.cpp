@@ -1,8 +1,15 @@
 #include "runtime/recovery.hpp"
 
+#include <cmath>
+
 #include "util/parallel.hpp"
 
 namespace lp::runtime {
+
+Duration RecoveryPolicy::detected_at(Duration strike) const {
+  const double hb = heartbeat_interval.to_seconds();
+  return Duration::seconds(std::ceil(strike.to_seconds() / hb) * hb) + detection_latency;
+}
 
 RecoveryResult drive_recovery(fabric::Fabric& fab,
                               const routing::DegradedCircuit& victim,

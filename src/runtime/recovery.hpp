@@ -44,6 +44,12 @@ struct RecoveryPolicy {
   routing::RetryBackoff rung_backoff{};
   /// Per-rung wall-clock cap handed to the ladder; zero means none.
   Duration rung_timeout{Duration::zero()};
+
+  /// The heartbeat model every simulator charges: a fault striking at
+  /// `strike` is noticed at the first heartbeat tick at or after it and
+  /// diagnosed detection_latency later.  Returns that absolute time,
+  /// ceil(strike / hb) * hb + detection_latency.
+  [[nodiscard]] Duration detected_at(Duration strike) const;
 };
 
 struct RecoveryResult {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <optional>
 
 #include "topo/cluster.hpp"
@@ -54,10 +53,8 @@ TrainingRun::TrainingRun(const RunConfig& config)
     : config_{config},
       fab_{run_fabric_config()},
       injector_{fab_, config.model, config.seed},
-      monitor_{config.health},
-      cache_{fab_},
-      tuner_{coll::TunerParams{.alpha = config.cost.alpha}},
-      damper_{config.damper} {
+      plane_{fab_, config.health, config.damper, config.gray_hysteresis},
+      tuner_{coll::TunerParams{.alpha = config.cost.alpha}} {
   // Fiber bundles between wafer 0's east column and wafer 1's west column,
   // one per row, generously sized so fibers are never the binding resource.
   const auto& w = fab_.wafer(0);
@@ -136,17 +133,6 @@ std::vector<fabric::GlobalTile> TrainingRun::free_tiles() const {
   return out;
 }
 
-routing::EscalationOptions TrainingRun::base_options() const {
-  routing::EscalationOptions opts;
-  opts.wavelengths = config_.wavelengths;
-  opts.cache = &cache_;
-  opts.validate = [this](const fabric::Fabric& f, fabric::CircuitId id) {
-    return monitor_.diagnose(f, cumulative_, id).health ==
-           fault::CircuitHealth::kHealthy;
-  };
-  return opts;
-}
-
 Duration TrainingRun::shrink_ring(std::size_t i, RunReport& report) {
   Duration dur = Duration::zero();
   const std::size_t n = members_.size();
@@ -193,10 +179,9 @@ Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
 
   // The in-edge (prev -> dead) picks the spare: respare re-anchors it as
   // prev -> spare (plus the reverse circuit, which the ring does not use).
-  routing::EscalationOptions opts = base_options();
+  routing::EscalationOptions opts = plane_.repair_options(config_.wavelengths);
   opts.spare_candidates = free_tiles();
-  const auto diag_in = monitor_.diagnose(fab_, cumulative_, in_id);
-  routing::DegradedCircuit victim_in = fault::to_degraded(diag_in);
+  routing::DegradedCircuit victim_in = fault::to_degraded(plane_.diagnose(in_id));
   // Misclassification path: the diagnosis is healthy (the member only
   // flaps), but the controller has decided it is dead — force the flags so
   // the ladder anchors the respare on the surviving neighbor, exactly as it
@@ -213,10 +198,9 @@ Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
     ++report.recovered_by[routing::rung_index(routing::RepairRung::kRespare)];
 
     // The out-edge (dead -> next) must land on the same spare.
-    routing::EscalationOptions opts_out = base_options();
+    routing::EscalationOptions opts_out = plane_.repair_options(config_.wavelengths);
     opts_out.spare_candidates = {spare};
-    const auto diag_out = monitor_.diagnose(fab_, cumulative_, out_id);
-    routing::DegradedCircuit victim_out = fault::to_degraded(diag_out);
+    routing::DegradedCircuit victim_out = fault::to_degraded(plane_.diagnose(out_id));
     if (assume_dead) victim_out.src_dead = true;
     const RecoveryResult res_out =
         drive_recovery(fab_, victim_out, config_.recovery, opts_out);
@@ -265,23 +249,12 @@ TrainingRun::EventOutcome TrainingRun::play_gray_episode(Duration t0, Rng& gray_
     // The electrical baseline has no optical controller to thrash; it just
     // rides the dips out (gray-vs-gray comparisons are photonic-only).
     if (!photonic) continue;
-    gray_now_ = t_dip;
-    if (config_.gray_hysteresis) {
-      const fault::LinkState st = damper_.record_flap(key, t_dip);
-      if (st == fault::LinkState::kQuarantined) continue;  // ride it out
-    }
-    // Repair-on-transition: the climb runs entirely inside the
-    // milliseconds-long dip, so every microseconds-long programming attempt
-    // fails transiently — the ladder thrashes and rolls back.
-    routing::DegradedCircuit victim;
-    victim.id = circuits_[e];
-    victim.hard_down = true;
-    routing::EscalationOptions opts = base_options();
-    opts.transient_failure = [](routing::RepairRung, std::uint32_t) { return true; };
-    const RecoveryResult res = drive_recovery(fab_, victim, config_.recovery, opts);
+    const std::optional<RecoveryResult> res =
+        plane_.flap(key, t_dip, circuits_[e], config_.recovery, config_.wavelengths);
+    if (!res) continue;  // quarantined: ride it out
     ++report.flap_repairs;
-    report.transient_repair_failures += res.transient_failures;
-    out.recovery += res.total();
+    report.transient_repair_failures += res->transient_failures;
+    out.recovery += res->total();
     if (!config_.gray_hysteresis) {
       const std::uint32_t seen = ++dips_seen_[key];
       if (seen >= config_.naive_misclassify_after) {
@@ -319,7 +292,7 @@ TrainingRun::EventOutcome TrainingRun::recover_photonic(RunReport& report) {
   // Either way the member's device state is gone: rollback.
   std::size_t i = 0;
   while (i < members_.size() && members_.size() >= 2) {
-    if (!cumulative_.chip_dead(members_[i])) {
+    if (!plane_.active().chip_dead(members_[i])) {
       ++i;
       continue;
     }
@@ -340,10 +313,11 @@ TrainingRun::EventOutcome TrainingRun::recover_photonic(RunReport& report) {
   while (progress && guard-- > 0 && members_.size() >= 2) {
     progress = false;
     for (std::size_t e = 0; e < circuits_.size(); ++e) {
-      const auto diag = monitor_.diagnose(fab_, cumulative_, circuits_[e]);
+      const auto diag = plane_.diagnose(circuits_[e]);
       if (diag.health == fault::CircuitHealth::kHealthy) continue;
-      const RecoveryResult res = drive_recovery(fab_, fault::to_degraded(diag),
-                                                config_.recovery, base_options());
+      const RecoveryResult res =
+          drive_recovery(fab_, fault::to_degraded(diag), config_.recovery,
+                         plane_.repair_options(config_.wavelengths));
       out.recovery += res.total();
       if (res.recovered) {
         ++report.recovered_by[routing::rung_index(res.rung)];
@@ -380,9 +354,14 @@ RunReport TrainingRun::run() {
   Rng fault_stream{util::task_seed(config_.seed, 1)};
   const bool scripted = !config_.script.empty();
   std::size_t script_idx = 0;
-  Duration next_fault = scripted
-                            ? config_.script.front().at
-                            : Duration::seconds(arrivals.exponential(rate_per_sec));
+  // The next fault: the next script entry, or a Poisson gap drawn from
+  // `from` (the run restarts the clock wherever training resumes).
+  const auto next_fault_after = [&](Duration from) {
+    if (!scripted) return from + Duration::seconds(arrivals.exponential(rate_per_sec));
+    return script_idx < config_.script.size() ? config_.script[script_idx].at
+                                              : Duration::infinite();
+  };
+  Duration next_fault = next_fault_after(Duration::zero());
 
   // Gray (flap) episodes: an independent Poisson process on its own pair of
   // streams, so enabling the gray layer never perturbs the permanent fault
@@ -395,16 +374,6 @@ RunReport TrainingRun::run() {
   Duration next_gray =
       gray_on ? Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec))
               : Duration::infinite();
-  if (gray_on && config_.gray_hysteresis &&
-      config_.policy == RunPolicy::kPhotonicRepair) {
-    // Quarantined components are unusable for *new* routes without touching
-    // the fabric epoch: the cache's memoized plans survive the quarantine
-    // and are warm again the moment the hold lifts.
-    cache_.set_quarantine([this](fabric::GlobalTile t, fabric::Direction d) {
-      return damper_.state(fault::gray_component_key(t, d), gray_now_) ==
-             fault::LinkState::kQuarantined;
-    });
-  }
 
   Duration clock = Duration::zero();
   Duration last_checkpoint = Duration::zero();
@@ -434,7 +403,6 @@ RunReport TrainingRun::run() {
     EventOutcome outcome;
     if (gray_first) {
       ++report.flap_episodes;
-      gray_now_ = t_f;
       outcome = play_gray_episode(t_f, gray_stream, report);
     } else {
       const bool mid_collective = timeline.collective_in_flight(offset);
@@ -449,31 +417,18 @@ RunReport TrainingRun::run() {
       report.faults_injected += faults.size();
       if (mid_collective) ++report.mid_collective_faults;
 
-      fault::FaultSet ev;
-      ev.add_all(faults);
-      ev.apply_to(fab_, config_.model.quarantine_threshold);
-      applied_.push_back(std::move(ev));
-      cumulative_.add_all(faults);
-
-      bool any_unhealthy = false;
-      for (const fabric::CircuitId id : circuits_) {
-        if (monitor_.diagnose(fab_, cumulative_, id).health !=
-            fault::CircuitHealth::kHealthy) {
-          any_unhealthy = true;
-          break;
-        }
-      }
+      plane_.strike(faults, config_.model.quarantine_threshold);
+      const bool any_unhealthy =
+          std::any_of(circuits_.begin(), circuits_.end(), [&](fabric::CircuitId id) {
+            return plane_.diagnose(id).health != fault::CircuitHealth::kHealthy;
+          });
       if (!any_unhealthy) {
         // Latent fault: no ring circuit degraded, training never notices.
-        next_fault = scripted
-                         ? (script_idx < config_.script.size()
-                                ? config_.script[script_idx].at
-                                : Duration::infinite())
-                         : t_f + Duration::seconds(arrivals.exponential(rate_per_sec));
+        next_fault = next_fault_after(t_f);
         continue;
       }
       ++report.detections;
-      gray_now_ = t_f;  // keep the quarantine view current for the repairs
+      plane_.set_now(t_f);  // keep the quarantine view current for the repairs
 
       if (config_.policy == RunPolicy::kElectricalMigration) {
         // Rack-granularity baseline: any degraded circuit drains the job and
@@ -482,23 +437,15 @@ RunReport TrainingRun::run() {
         ++report.migrations;
         outcome.recovery = config_.migration_latency;
         outcome.state_loss = true;
-        for (auto it = applied_.rbegin(); it != applied_.rend(); ++it) {
-          it->revert(fab_);
-        }
-        applied_.clear();
-        cumulative_ = fault::FaultSet{};
+        plane_.revert_all();
       } else {
         outcome = recover_photonic(report);
       }
     }
 
-    // Heartbeat detection: noticed at the first tick at or after the
-    // strike, diagnosed detection_latency later (gray episodes charge it
-    // identically in both arms — the controller still has to look).
-    const double hb = config_.recovery.heartbeat_interval.to_seconds();
-    const Duration detect_done =
-        Duration::seconds(std::ceil(t_f.to_seconds() / hb) * hb) +
-        config_.recovery.detection_latency;
+    // Heartbeat detection (gray episodes charge it identically in both
+    // arms — the controller still has to look).
+    const Duration detect_done = config_.recovery.detected_at(t_f);
     report.lost.detection += detect_done - t_f;
     report.lost.recovery += outcome.recovery;
 
@@ -528,50 +475,33 @@ RunReport TrainingRun::run() {
     if (gray_first) {
       next_gray = clock + Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec));
     } else {
-      next_fault = scripted
-                       ? (script_idx < config_.script.size()
-                              ? config_.script[script_idx].at
-                              : Duration::infinite())
-                       : clock + Duration::seconds(arrivals.exponential(rate_per_sec));
+      next_fault = next_fault_after(clock);
     }
   }
 
   report.iterations_completed = completed;
   report.ring_size_final = static_cast<std::uint32_t>(members_.size());
   report.wall_clock = clock;
-  report.suppressed_repairs = damper_.stats().suppressed_repairs;
-  report.quarantines = damper_.stats().quarantines;
-  report.probations = damper_.stats().probations;
-  report.relapses = damper_.stats().relapses;
+  const fault::FlapDamperStats& damped = plane_.damper_stats();
+  report.suppressed_repairs = damped.suppressed_repairs;
+  report.quarantines = damped.quarantines;
+  report.probations = damped.probations;
+  report.relapses = damped.relapses;
   return report;
 }
 
 ResilienceSweepReport run_resilience_sweep(const ResilienceSweepConfig& config) {
   const std::size_t trials = config.trials;
-  const std::size_t per_point = trials * 2;
-  const std::size_t total = config.mtbf_points.size() * per_point;
-
-  std::vector<RunReport> reports(total);
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(total, [&](std::size_t idx, unsigned) {
-    const std::size_t p = idx / per_point;
-    const std::size_t rem = idx % per_point;
-    const bool photonic = rem < trials;
-    const std::size_t trial = photonic ? rem : rem - trials;
-    RunConfig rc = config.base;
-    rc.mtbf_hours = config.mtbf_points[p];
-    rc.policy = photonic ? RunPolicy::kPhotonicRepair
-                         : RunPolicy::kElectricalMigration;
-    // Both policies of a (point, trial) pair share a seed, so they face the
-    // identical fault timeline — a paired comparison.
-    rc.seed = util::task_seed(config.base.seed, p * trials + trial);
-    TrainingRun run{rc};
-    reports[idx] = run.run();
-  });
+  const std::vector<RunReport> reports = util::paired_sweep<RunReport>(
+      config.mtbf_points.size(), trials, config.base.seed, config.threads,
+      [&](std::size_t p, std::size_t arm, std::uint64_t seed) {
+        RunConfig rc = config.base;
+        rc.mtbf_hours = config.mtbf_points[p];
+        rc.policy = arm == 0 ? RunPolicy::kPhotonicRepair : RunPolicy::kElectricalMigration;
+        rc.seed = seed;
+        TrainingRun run{rc};
+        return run.run();
+      });
 
   // Fold in ascending task order: bit-identical at any thread count.
   ResilienceSweepReport out;
@@ -584,8 +514,7 @@ ResilienceSweepReport run_resilience_sweep(const ResilienceSweepConfig& config) 
       pt.trials = config.trials;
       std::vector<double> recover_all;
       for (std::size_t t = 0; t < trials; ++t) {
-        const RunReport& r =
-            reports[p * per_point + static_cast<std::size_t>(pol) * trials + t];
+        const RunReport& r = reports[(p * 2 + static_cast<std::size_t>(pol)) * trials + t];
         const double g = r.goodput();
         pt.goodput_mean += g;
         pt.goodput_min = std::min(pt.goodput_min, g);
@@ -653,30 +582,18 @@ std::uint64_t GraySweepReport::digest() const {
 
 GraySweepReport run_gray_sweep(const GraySweepConfig& config) {
   const std::size_t trials = config.trials;
-  const std::size_t per_point = trials * 2;  // hysteresis arm + naive arm
-  const std::size_t total = config.flap_rates_per_hour.size() * per_point;
-
-  std::vector<RunReport> reports(total);
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(total, [&](std::size_t idx, unsigned) {
-    const std::size_t p = idx / per_point;
-    const std::size_t rem = idx % per_point;
-    const bool hysteresis = rem < trials;
-    const std::size_t trial = hysteresis ? rem : rem - trials;
-    RunConfig rc = config.base;
-    rc.policy = RunPolicy::kPhotonicRepair;
-    rc.flap_rate_per_hour = config.flap_rates_per_hour[p];
-    rc.gray_hysteresis = hysteresis;
-    // Both arms of a (rate, trial) pair share a seed, so they face the
-    // identical episode timeline — a paired comparison.
-    rc.seed = util::task_seed(config.base.seed, p * trials + trial);
-    TrainingRun run{rc};
-    reports[idx] = run.run();
-  });
+  // Arm 0 is the hysteresis controller, arm 1 the naive one.
+  const std::vector<RunReport> reports = util::paired_sweep<RunReport>(
+      config.flap_rates_per_hour.size(), trials, config.base.seed, config.threads,
+      [&](std::size_t p, std::size_t arm, std::uint64_t seed) {
+        RunConfig rc = config.base;
+        rc.policy = RunPolicy::kPhotonicRepair;
+        rc.flap_rate_per_hour = config.flap_rates_per_hour[p];
+        rc.gray_hysteresis = arm == 0;
+        rc.seed = seed;
+        TrainingRun run{rc};
+        return run.run();
+      });
 
   // Fold in ascending task order: bit-identical at any thread count.
   GraySweepReport out;
@@ -687,8 +604,7 @@ GraySweepReport run_gray_sweep(const GraySweepConfig& config) {
       pt.hysteresis = arm == 0;
       pt.trials = config.trials;
       for (std::size_t t = 0; t < trials; ++t) {
-        const RunReport& r =
-            reports[p * per_point + static_cast<std::size_t>(arm) * trials + t];
+        const RunReport& r = reports[(p * 2 + static_cast<std::size_t>(arm)) * trials + t];
         const double g = r.goodput();
         pt.goodput_mean += g;
         pt.goodput_min = std::min(pt.goodput_min, g);

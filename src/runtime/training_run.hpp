@@ -45,8 +45,8 @@
 #include "fault/gray.hpp"
 #include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
-#include "routing/plan_cache.hpp"
 #include "routing/repair.hpp"
+#include "runtime/fault_plane.hpp"
 #include "runtime/recovery.hpp"
 #include "util/units.hpp"
 
@@ -110,12 +110,13 @@ struct RunConfig {
   /// the pre-gray timeline and report are bit-identical.
   double flap_rate_per_hour{0.0};
   fault::GrayModelParams gray{};
-  /// true: flaps feed a FlapDamper; quarantined components ride out their
-  /// dips (repairs suppressed, plan-cache quarantine view installed) and
-  /// are never misclassified.  false: the naive baseline — every observed
-  /// down-transition climbs the repair ladder, and after
-  /// naive_misclassify_after dips the controller declares the chip dead and
-  /// respares it (state loss), pricing the gray failure as fail-stop.
+  /// true: flaps feed a FlapDamper; a flap that leaves its component
+  /// quarantined is ridden out (FlapDamper::ride_out; the plan-cache
+  /// quarantine view routes around it) and nothing is ever misclassified.
+  /// false: the naive baseline — every observed down-transition climbs the
+  /// repair ladder, and after naive_misclassify_after dips the controller
+  /// declares the chip dead and respares it (state loss), pricing the gray
+  /// failure as fail-stop.
   bool gray_hysteresis{true};
   fault::FlapDamperParams damper{};
   /// Dips the naive controller tolerates on one component before
@@ -215,7 +216,7 @@ class TrainingRun {
   /// The collective autotuner (decision cache keyed on the fabric epoch).
   [[nodiscard]] const coll::Autotuner& tuner() const { return tuner_; }
   /// Faults accumulated over the run (query overlay; never applied).
-  [[nodiscard]] const fault::FaultSet& active_faults() const { return cumulative_; }
+  [[nodiscard]] const fault::FaultSet& active_faults() const { return plane_.active(); }
 
  private:
   struct EventOutcome {
@@ -226,7 +227,6 @@ class TrainingRun {
   void establish_ring();
   void rebuild_costs();
   [[nodiscard]] std::vector<fabric::GlobalTile> free_tiles() const;
-  [[nodiscard]] routing::EscalationOptions base_options() const;
   EventOutcome recover_photonic(RunReport& report);
   /// `assume_dead` forces the dead-endpoint flags onto the victim edges even
   /// though the diagnosis is healthy — the naive controller misclassifying a
@@ -242,12 +242,8 @@ class TrainingRun {
   RunConfig config_;
   fabric::Fabric fab_;
   fault::FaultInjector injector_;
-  fault::HealthMonitor monitor_;
-  /// Route memo for the repair ladder (wired into every EscalationOptions):
-  /// drive_recovery's budget-exhausted re-climbs leave the ledger exactly as
-  /// found, so the repeat search hits the cache.  mutable because
-  /// memoization is invisible to observable state (base_options is const).
-  mutable routing::PlanCache cache_;
+  /// Fault overlays, diagnosis, the repair cache and the flap damper.
+  FaultPlane plane_;
   /// members_[e] -> members_[(e+1) % n] is circuits_[e].
   std::vector<fabric::GlobalTile> members_;
   std::vector<fabric::CircuitId> circuits_;
@@ -259,18 +255,8 @@ class TrainingRun {
   coll::Schedule schedule_;
   Duration first_bucket_comm_{Duration::zero()};
   Duration steady_bucket_comm_{Duration::zero()};
-  /// Query overlay of every fault so far (never applied to the ledger).
-  fault::FaultSet cumulative_;
-  /// Per-event applied overlays, in arrival order (reverted on electrical
-  /// migration's fresh rack; otherwise live until the run ends).
-  std::vector<fault::FaultSet> applied_;
-  /// Flap-dampening hysteresis over gray components (gray_hysteresis mode).
-  fault::FlapDamper damper_;
   /// Naive mode: dips observed per component, driving misclassification.
   std::map<std::uint64_t, std::uint32_t> dips_seen_;
-  /// Simulation time the cache's quarantine predicate evaluates damper
-  /// state at (kept current by the event loop).
-  Duration gray_now_{Duration::zero()};
 };
 
 /// MTBF sweep: photonic vs electrical goodput, aggregated over trials.

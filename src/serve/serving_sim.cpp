@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "collective/autotuner.hpp"
-#include "routing/plan_cache.hpp"
+#include "runtime/fault_plane.hpp"
 #include "sim/event_engine.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -56,22 +54,11 @@ class ServingSim {
       : params_{params},
         fab_{params.fabric},
         host_{fab_, params.host},
-        cache_{fab_},
-        monitor_{params.health},
+        plane_{fab_, params.health, params.damper, params.gray_hysteresis},
         injector_{fab_, params.fault_model, util::task_seed(params.seed, 0)},
         gen_{params.traffic, params.replicas, params.seed},
         fault_rng_{util::task_seed(params.seed, 3)},
-        gray_rng_{util::task_seed(params.seed, 4)},
-        damper_{params.damper} {
-    if (params.flap_rate_per_hour > 0.0 && params.gray_hysteresis) {
-      // Quarantined components are unusable for new routes without touching
-      // the fabric epoch — the cache stays warm across the hold.
-      cache_.set_quarantine([this](GlobalTile t, fabric::Direction d) {
-        return damper_.state(fault::gray_component_key(t, d),
-                             Duration::seconds(gray_now_)) ==
-               fault::LinkState::kQuarantined;
-      });
-    }
+        gray_rng_{util::task_seed(params.seed, 4)} {
     tuner_rate_ = fab_.per_wavelength_rate() *
                   static_cast<double>(params.host.wavelengths_per_circuit);
     tuner_reconfig_ = fab_.reconfig().settle_latency();
@@ -96,25 +83,16 @@ class ServingSim {
   void complete(const Request& q, double done_t);
   void take_offline(std::size_t r);
   [[nodiscard]] std::size_t resolve_online(std::size_t preferred) const;
-  [[nodiscard]] routing::EscalationOptions base_options();
 
   ServingParams params_;
   fabric::Fabric fab_;
   core::HostStack host_;
-  routing::PlanCache cache_;
-  fault::HealthMonitor monitor_;
+  /// Fault overlays, diagnosis, the repair cache and the flap damper.
+  runtime::FaultPlane plane_;
   fault::FaultInjector injector_;
-  /// Queries only (monitor + validate); per-event sets below carry the
-  /// ledger side effects so they could be reverted individually.
-  fault::FaultSet cumulative_;
-  std::vector<fault::FaultSet> applied_;
   RequestGenerator gen_;
   Rng fault_rng_;
   Rng gray_rng_;
-  fault::FlapDamper damper_;
-  /// Simulation time (seconds) the quarantine predicate evaluates damper
-  /// state at; kept current by the gray/fault event handlers.
-  double gray_now_{0.0};
   sim::EventEngine engine_;
   /// Picks expert-exchange and KV-migration shapes per (size bucket,
   /// replica fingerprint, fabric epoch).  The rate/reconfig pair below is
@@ -156,24 +134,17 @@ void ServingSim::schedule_first_events() {
   if (first <= horizon) {
     engine_.schedule_at(TimePoint::at_seconds(first), [this] { arrival(); });
   }
+  // Strikes and flaps are confined to the arrival window so the drain tail
+  // measures recovery, not fresh damage.
+  const TimePoint until = TimePoint::at_seconds(horizon);
   const double chips =
       static_cast<double>(params_.replicas) * params_.tiles_per_replica;
-  if (params_.mtbf_hours > 0.0 && chips > 0.0) {
-    const double rate = chips / (params_.mtbf_hours * 3600.0);
-    const double t_f = fault_rng_.exponential(rate);
-    // Strikes are confined to the arrival window so the drain tail measures
-    // recovery, not fresh damage.
-    if (t_f < horizon) {
-      engine_.schedule_at(TimePoint::at_seconds(t_f), [this] { fault_event(); });
-    }
+  if (params_.mtbf_hours > 0.0) {
+    sim::schedule_poisson(engine_, fault_rng_, chips / (params_.mtbf_hours * 3600.0),
+                          until, [this] { fault_event(); });
   }
-  if (params_.flap_rate_per_hour > 0.0 && chips > 0.0) {
-    const double rate = chips * params_.flap_rate_per_hour / 3600.0;
-    const double t_g = gray_rng_.exponential(rate);
-    if (t_g < horizon) {
-      engine_.schedule_at(TimePoint::at_seconds(t_g), [this] { gray_event(); });
-    }
-  }
+  sim::schedule_poisson(engine_, gray_rng_, chips * params_.flap_rate_per_hour / 3600.0,
+                        until, [this] { gray_event(); });
 }
 
 std::size_t ServingSim::resolve_online(std::size_t preferred) const {
@@ -358,29 +329,10 @@ void ServingSim::round(std::size_t r) {
 }
 
 void ServingSim::fault_event() {
-  const double now = now_s();
   ++report_.fault_events;
-  const auto faults = injector_.sample(fault_rng_);
-  fault::FaultSet set;
-  set.add_all(faults);
-  set.apply_to(fab_, params_.fault_model.quarantine_threshold);
-  applied_.push_back(std::move(set));
-  cumulative_.add_all(faults);
-
-  // Heartbeat detection: noticed at the first tick at or after the strike,
-  // diagnosed detection_latency later (same contract as runtime/training_run).
-  const double hb = params_.recovery.heartbeat_interval.to_seconds();
-  const double detect =
-      std::ceil(now / hb) * hb + params_.recovery.detection_latency.to_seconds();
-  engine_.schedule_at(TimePoint::at_seconds(detect), [this] { detection(); });
-
-  const double chips =
-      static_cast<double>(params_.replicas) * params_.tiles_per_replica;
-  const double rate = chips / (params_.mtbf_hours * 3600.0);
-  const double next = now + fault_rng_.exponential(rate);
-  if (next < params_.horizon.to_seconds()) {
-    engine_.schedule_at(TimePoint::at_seconds(next), [this] { fault_event(); });
-  }
+  plane_.strike(injector_.sample(fault_rng_), params_.fault_model.quarantine_threshold);
+  const Duration detect = params_.recovery.detected_at(Duration::seconds(now_s()));
+  engine_.schedule_at(TimePoint::at_seconds(detect.to_seconds()), [this] { detection(); });
 }
 
 void ServingSim::gray_event() {
@@ -407,28 +359,15 @@ void ServingSim::gray_event() {
         const double t_dip = now + ep.trace.dip_start(k);
         ++report_.flap_transitions;
         pause += ep.trace.dip_seconds(k);  // the backbone edge is dark
-        gray_now_ = t_dip;
-        if (params_.gray_hysteresis) {
-          const fault::LinkState st =
-              damper_.record_flap(key, Duration::seconds(t_dip));
-          if (st == fault::LinkState::kQuarantined) continue;  // ride it out
-        }
-        // Repair-on-transition: the climb runs entirely inside the dip, so
-        // every programming attempt fails transiently — pure thrash, plus a
-        // host-circuit flush (the reconfiguration attempt churns the cached
-        // lanes, so subsequent sends re-plan and pay r).
-        routing::DegradedCircuit victim;
-        victim.id = rep.backbone[e];
-        victim.hard_down = true;
-        routing::EscalationOptions opts = base_options();
-        opts.transient_failure = [](routing::RepairRung, std::uint32_t) {
-          return true;
-        };
-        const auto res =
-            runtime::drive_recovery(fab_, victim, params_.recovery, opts);
+        const auto res = plane_.flap(key, Duration::seconds(t_dip), rep.backbone[e],
+                                     params_.recovery, params_.backbone_wavelengths);
+        if (!res) continue;  // quarantined: ride it out
+        // The thrash also flushes the host circuits: the reconfiguration
+        // attempt churns the cached lanes, so subsequent sends re-plan and
+        // pay r.
         ++report_.flap_repairs;
-        report_.transient_repair_failures += res.transient_failures;
-        pause += res.total().to_seconds();
+        report_.transient_repair_failures += res->transient_failures;
+        pause += res->total().to_seconds();
         host_.flush();
         ++report_.churn_flushes;
       }
@@ -439,25 +378,6 @@ void ServingSim::gray_event() {
       }
     }
   }
-
-  const double chips =
-      static_cast<double>(params_.replicas) * params_.tiles_per_replica;
-  const double rate = chips * params_.flap_rate_per_hour / 3600.0;
-  const double next = now + gray_rng_.exponential(rate);
-  if (next < params_.horizon.to_seconds()) {
-    engine_.schedule_at(TimePoint::at_seconds(next), [this] { gray_event(); });
-  }
-}
-
-routing::EscalationOptions ServingSim::base_options() {
-  routing::EscalationOptions opts;
-  opts.wavelengths = params_.backbone_wavelengths;
-  opts.cache = &cache_;
-  opts.validate = [this](const fabric::Fabric& f, CircuitId id) {
-    return monitor_.diagnose(f, cumulative_, id).health ==
-           fault::CircuitHealth::kHealthy;
-  };
-  return opts;
 }
 
 void ServingSim::take_offline(std::size_t r) {
@@ -476,7 +396,8 @@ void ServingSim::take_offline(std::size_t r) {
 void ServingSim::detection() {
   const double now = now_s();
   ++report_.detections;
-  gray_now_ = std::max(gray_now_, now);  // keep the quarantine view current
+  // Keep the quarantine view current.
+  plane_.set_now(std::max(plane_.now(), Duration::seconds(now)));
   // Quarantined lanes invalidate cached routes: drop every host circuit so
   // subsequent sends re-plan around the damage (the churn the bench sweeps).
   host_.flush();
@@ -488,10 +409,11 @@ void ServingSim::detection() {
     double pause = 0.0;
     bool lost = false;
     for (CircuitId& id : rep.backbone) {
-      const auto diag = monitor_.diagnose(fab_, cumulative_, id);
+      const auto diag = plane_.diagnose(id);
       if (diag.health == fault::CircuitHealth::kHealthy) continue;
-      const auto res = runtime::drive_recovery(fab_, fault::to_degraded(diag),
-                                               params_.recovery, base_options());
+      const auto res =
+          runtime::drive_recovery(fab_, fault::to_degraded(diag), params_.recovery,
+                                  plane_.repair_options(params_.backbone_wavelengths));
       pause = std::max(pause, res.total().to_seconds());
       if (res.recovered && !res.circuits.empty()) {
         id = res.circuits.front();
@@ -535,8 +457,8 @@ ServingReport ServingSim::run() {
     report_.p50 = report_.p99 = report_.p999 = Duration::zero();
   }
   report_.host = host_.stats();
-  report_.suppressed_repairs = damper_.stats().suppressed_repairs;
-  report_.quarantines = damper_.stats().quarantines;
+  report_.suppressed_repairs = plane_.damper_stats().suppressed_repairs;
+  report_.quarantines = plane_.damper_stats().quarantines;
 
   std::uint64_t d = report_.digest;
   d = fabric::hash_mix(d, report_.offered);
@@ -579,12 +501,7 @@ ServingReport run_serving(const ServingParams& params) {
 ServingSweepReport run_serving_sweep(const ServingSweepConfig& config) {
   ServingSweepReport out;
   out.points.resize(config.arrival_rates.size());
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(config.arrival_rates.size(), [&](std::size_t i, unsigned) {
+  util::run_tasks(config.threads, config.arrival_rates.size(), [&](std::size_t i) {
     ServingParams p = config.base;
     p.traffic.arrival_rate = config.arrival_rates[i];
     // Per-point seed via task_seed: the sweep is bit-identical at any

@@ -9,8 +9,8 @@
 // reconfiguration r on miss); component faults (fault/FaultInjector) strike
 // on an accelerated MTBF clock, are noticed at heartbeat granularity, and
 // are repaired by the bounded-timeout ladder (runtime::drive_recovery) with
-// route searches going through the shared routing::PlanCache — the same
-// control path the training-run resilience layer exercises.
+// route searches going through a runtime::FaultPlane's PlanCache — the same
+// fault plane the training-run resilience layer owns.
 //
 // The output is SLO accounting: p50/p99/p999 request latency and the
 // fraction of *offered* requests that completed within the SLO (abandoned

@@ -39,11 +39,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace lp::sim {
@@ -266,5 +268,40 @@ class EventEngine {
   std::uint64_t next_seq_{0};
   double now_s_{0.0};
 };
+
+/// A self-rescheduling Poisson clock: arrivals at now() + Exp(rate) gaps,
+/// each one calling `fire()`, until the next arrival would land at or after
+/// `until`.  After `fire` returns the next gap is drawn from the same `rng`,
+/// so a `fire` that also draws from `rng` interleaves as
+/// gap, fire's draws, gap, fire's draws, ...  A non-positive rate schedules
+/// nothing.  The clock state lives in one heap block that moves from each
+/// arrival's handler to the next.
+template <typename Fire>
+void schedule_poisson(EventEngine& engine, Rng& rng, double rate, TimePoint until,
+                      Fire fire) {
+  struct Clock {
+    EventEngine& engine;
+    Rng& rng;
+    double rate;
+    TimePoint until;
+    Fire fire;
+  };
+  struct Arrival {
+    std::unique_ptr<Clock> clock;
+    static void arm(std::unique_ptr<Clock> c) {
+      const TimePoint at = c->engine.now() + Duration::seconds(c->rng.exponential(c->rate));
+      if (at < c->until) {
+        EventEngine& e = c->engine;
+        e.schedule_at(at, Arrival{std::move(c)});
+      }
+    }
+    void operator()() {
+      clock->fire();
+      arm(std::move(clock));
+    }
+  };
+  if (rate <= 0.0) return;
+  Arrival::arm(std::make_unique<Clock>(Clock{engine, rng, rate, until, std::move(fire)}));
+}
 
 }  // namespace lp::sim

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace lp::util {
@@ -134,6 +135,14 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool) {
   if (pool == nullptr) pool = &ThreadPool::shared();
   pool->run(n, [&](std::size_t i, unsigned) { fn(i); });
+}
+
+void run_tasks(unsigned threads, std::size_t n,
+               const std::function<void(std::size_t)>& fn) {
+  if (threads == 0) threads = env_threads();
+  std::optional<ThreadPool> local;
+  ThreadPool& pool = threads == 0 ? ThreadPool::shared() : local.emplace(threads);
+  parallel_for(n, fn, &pool);
 }
 
 }  // namespace lp::util

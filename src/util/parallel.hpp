@@ -75,6 +75,32 @@ class ThreadPool {
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr);
 
+/// Runs `fn(task)` for every task in [0, n) on a pool of `threads` streams.
+/// The count resolves as: the caller's value, else LIGHTPATH_THREADS
+/// (env_threads), else the shared pool.  Every sweep entry point goes
+/// through here, so one environment override reaches all of them.
+void run_tasks(unsigned threads, std::size_t n,
+               const std::function<void(std::size_t)>& fn);
+
+/// A paired two-arm sweep over `points` x 2 arms x `trials`.  Both arms of
+/// point p, trial t run with seed task_seed(base_seed, p * trials + t), so
+/// they face identical random streams — a paired comparison.  The report of
+/// `run(p, arm, seed)` lands at index (p * 2 + arm) * trials + t: callers
+/// fold ascending, bit-identical at any thread count.
+template <typename Report, typename Run>
+[[nodiscard]] std::vector<Report> paired_sweep(std::size_t points, std::size_t trials,
+                                               std::uint64_t base_seed, unsigned threads,
+                                               Run&& run) {
+  std::vector<Report> reports(points * 2 * trials);
+  run_tasks(threads, reports.size(), [&](std::size_t idx) {
+    const std::size_t t = idx % trials;
+    const std::size_t p = idx / trials / 2;
+    const std::size_t arm = idx / trials % 2;
+    reports[idx] = run(p, arm, task_seed(base_seed, p * trials + t));
+  });
+  return reports;
+}
+
 /// Maps every task index to a value and folds the values in ascending task
 /// order: `acc = reduce(acc, map(i))` for i = 0..n-1.  The map runs in
 /// parallel; the fold is sequential over the buffered per-task values, so

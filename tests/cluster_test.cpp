@@ -228,5 +228,29 @@ TEST(ClusterSweep, BitIdenticalAt1_2_8Threads) {
   EXPECT_DOUBLE_EQ(reports[0].points[2].mtbf_hours, 4.0);
 }
 
+// Every flap lands on chip 0, held by one rack-sized job that outlives the
+// run: under the shared ride-out rule each flap is exactly one of a repair
+// stall, a suppressed repair, or a quarantine entry — the flap that trips
+// quarantine is ridden out, not climbed.
+TEST(ClusterScheduler, EveryFlapOnARunningJobIsAClimbASuppressionOrAQuarantine) {
+  for (const auto policy : {SchedulerPolicy::kPhotonicMorph, SchedulerPolicy::kElectricalOnly}) {
+    ClusterParams p = small_cluster(1);
+    p.policy = policy;
+    p.horizon = Duration::seconds(240.0);
+    p.drain = Duration::zero();
+    p.mtbf_hours = 0.0;
+    p.flappy_chips = 1;
+    p.flap_rate_per_hour = 720.0;  // a flap every ~5 s on chip 0
+    p.job_script = {{Duration::zero(), Shape{{4, 4, 4}}, Duration::seconds(1e6)}};
+    const ClusterReport r = run_cluster(p);
+    ASSERT_GT(r.flap_events, 10u) << to_string(policy);
+    EXPECT_GT(r.flap_repairs, 0u) << to_string(policy);
+    EXPECT_GT(r.chip_quarantines, 0u) << to_string(policy);
+    EXPECT_GT(r.suppressed_repairs, 0u) << to_string(policy);
+    EXPECT_EQ(r.flap_events, r.flap_repairs + r.suppressed_repairs + r.chip_quarantines)
+        << to_string(policy);
+  }
+}
+
 }  // namespace
 }  // namespace lp::cluster

@@ -4,6 +4,7 @@
 // dispatch order, now(), pending counts, run/run_until return values.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -283,6 +284,85 @@ TEST(EventEngineDifferential, MatchesReferenceHeapOver200Cases) {
     ASSERT_EQ(heap.final_now, engine.final_now) << "case " << c;
     ASSERT_EQ(heap.leftover, engine.leftover) << "case " << c;
   }
+}
+
+// --- schedule_poisson: the shared self-rescheduling fault/flap clock -------
+
+/// Arrival times of the documented process, hand-rolled: t += Exp(rate)
+/// from zero while t < until.
+std::vector<double> hand_rolled_arrivals(std::uint64_t seed, double rate, double until) {
+  Rng rng{seed};
+  std::vector<double> out;
+  for (double t = rng.exponential(rate); t < until; t += rng.exponential(rate)) {
+    out.push_back(t);
+  }
+  return out;
+}
+
+TEST(SchedulePoisson, ArrivalsMatchAHandRolledLoopBitForBit) {
+  EventEngine engine;
+  Rng rng{42};
+  std::vector<double> fired;
+  schedule_poisson(engine, rng, 2.0, TimePoint::at_seconds(50.0),
+                   [&] { fired.push_back(engine.now().to_seconds()); });
+  engine.run();
+  const std::vector<double> expected = hand_rolled_arrivals(42, 2.0, 50.0);
+  ASSERT_GT(expected.size(), 50u);
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fired[i]), std::bit_cast<std::uint64_t>(expected[i]))
+        << "arrival " << i;
+  }
+  Rng ref{42};
+  for (std::size_t i = 0; i <= expected.size(); ++i) (void)ref.exponential(2.0);
+  EXPECT_EQ(rng.next(), ref.next()) << "exactly one gap drawn past the horizon";
+}
+
+TEST(SchedulePoisson, NothingFiresAtOrAfterUntil) {
+  const std::vector<double> arrivals = hand_rolled_arrivals(7, 3.0, 10.0);
+  ASSERT_GT(arrivals.size(), 6u);
+  // `until` equal to the sixth arrival's exact time: that arrival is
+  // excluded, the five before it fire.
+  EventEngine engine;
+  Rng rng{7};
+  std::vector<double> fired;
+  schedule_poisson(engine, rng, 3.0, TimePoint::at_seconds(arrivals[5]),
+                   [&] { fired.push_back(engine.now().to_seconds()); });
+  engine.run();
+  EXPECT_EQ(fired, std::vector<double>(arrivals.begin(), arrivals.begin() + 5));
+
+  // A non-positive rate schedules nothing and draws nothing.
+  Rng idle{7};
+  bool any = false;
+  schedule_poisson(engine, idle, 0.0, TimePoint::at_seconds(10.0), [&] { any = true; });
+  schedule_poisson(engine, idle, -1.0, TimePoint::at_seconds(10.0), [&] { any = true; });
+  EXPECT_TRUE(engine.empty());
+  engine.run();
+  EXPECT_FALSE(any);
+  EXPECT_EQ(idle.next(), Rng{7}.next());
+}
+
+TEST(SchedulePoisson, FireDrawingFromTheClockStreamInterleaves) {
+  EventEngine engine;
+  Rng rng{0x5eed};
+  std::vector<double> times;
+  std::vector<double> draws;
+  schedule_poisson(engine, rng, 5.0, TimePoint::at_seconds(20.0), [&] {
+    times.push_back(engine.now().to_seconds());
+    draws.push_back(rng.uniform());
+  });
+  engine.run();
+  // Documented order: gap, fire's draws, gap, fire's draws, ...
+  Rng ref{0x5eed};
+  std::vector<double> want_times;
+  std::vector<double> want_draws;
+  for (double t = ref.exponential(5.0); t < 20.0; t += ref.exponential(5.0)) {
+    want_times.push_back(t);
+    want_draws.push_back(ref.uniform());
+  }
+  ASSERT_GT(want_times.size(), 20u);
+  EXPECT_EQ(times, want_times);
+  EXPECT_EQ(draws, want_draws);
 }
 
 }  // namespace

@@ -500,6 +500,28 @@ TEST(ComponentStudy, ReportIdenticalAtAnyThreadCount) {
   EXPECT_EQ(a.availability, b.availability);
 }
 
+// Settle failures draw from a per-victim oracle stream, so the oracle's key
+// must not depend on which worker's template ran the trial.
+TEST(ComponentStudy, SettleFailuresIdenticalAtAnyThreadCount) {
+  auto params = quick_component_params();
+  params.settle_failure_probability = 0.3;
+  params.threads = 1;
+  const auto serial = core::run_component_fault_study(params);
+  ASSERT_GT(serial.transient_repair_failures, 0u) << "the settle path must run";
+  for (const unsigned threads : {2u, 8u}) {
+    params.threads = threads;
+    const auto wide = core::run_component_fault_study(params);
+    EXPECT_EQ(wide.transient_repair_failures, serial.transient_repair_failures) << threads;
+    EXPECT_EQ(wide.unrecovered, serial.unrecovered) << threads;
+    EXPECT_EQ(wide.unrecovered_transient, serial.unrecovered_transient) << threads;
+    EXPECT_EQ(wide.recovered_by, serial.recovered_by) << threads;
+    EXPECT_EQ(wide.attempts, serial.attempts) << threads;
+    EXPECT_EQ(wide.chip_hours_lost, serial.chip_hours_lost) << threads;
+    EXPECT_EQ(wide.recovery_seconds_total, serial.recovery_seconds_total) << threads;
+    EXPECT_EQ(wide.availability, serial.availability) << threads;
+  }
+}
+
 TEST(ComponentStudy, LadderAccountingIsConsistent) {
   const auto report = core::run_component_fault_study(quick_component_params());
   EXPECT_GT(report.fault_events, 0u);
@@ -626,23 +648,34 @@ TEST(Damper, ThresholdAndHoldBoundariesArePinned) {
   EXPECT_EQ(d.state(k, Duration::zero()), LinkState::kHealthy);
   EXPECT_EQ(d.record_flap(k, Duration::zero()), LinkState::kHealthy);  // score 1.0
   EXPECT_EQ(d.record_flap(k, Duration::zero()), LinkState::kSuspect);  // 2.0 >= 1.5
-  EXPECT_EQ(d.record_flap(k, Duration::zero()), LinkState::kQuarantined)
-      << "score == quarantine_threshold escalates (closed boundary)";
+  EXPECT_TRUE(d.ride_out(k, Duration::zero()))
+      << "score == quarantine_threshold escalates (closed boundary), and the "
+         "tripping flap itself is ridden out";
+  EXPECT_EQ(d.state(k, Duration::zero()), LinkState::kQuarantined);
   EXPECT_EQ(d.stats().quarantines, 1u);
-  EXPECT_FALSE(d.repair_allowed(k, Duration::seconds(1.0)));
+  EXPECT_EQ(d.stats().suppressed_repairs, 0u)
+      << "the tripping flap counts as a quarantine, not a suppressed repair";
 
   // Hold expiries are closed on the exit side: at exactly quarantine_hold
   // the link has advanced to probation, at exactly +probation_hold it is
   // healthy again, and the clean probation wiped the flap history.
   EXPECT_EQ(d.state(k, Duration::seconds(29.999)), LinkState::kQuarantined);
   EXPECT_EQ(d.state(k, Duration::seconds(30.0)), LinkState::kProbation);
-  EXPECT_TRUE(d.repair_allowed(k, Duration::seconds(30.0)));
   EXPECT_EQ(d.state(k, Duration::seconds(44.999)), LinkState::kProbation);
   EXPECT_EQ(d.state(k, Duration::seconds(45.0)), LinkState::kHealthy);
   EXPECT_EQ(d.stats().probations, 1u);
   EXPECT_EQ(d.score(k, Duration::seconds(45.0)), 0.0);
-  EXPECT_EQ(d.record_flap(k, Duration::seconds(45.0)), LinkState::kHealthy)
-      << "one fresh flap after a clean probation scores from zero";
+  EXPECT_FALSE(d.ride_out(k, Duration::seconds(45.0)))
+      << "one fresh flap after the holds expire scores from zero and climbs";
+  EXPECT_EQ(d.state(k, Duration::seconds(45.0)), LinkState::kHealthy);
+
+  // A flap at exactly quarantine_hold lands in probation: the relapse is
+  // ridden out too.
+  const std::uint64_t k3 = 9;
+  for (int i = 0; i < 3; ++i) d.record_flap(k3, Duration::zero());
+  EXPECT_TRUE(d.ride_out(k3, Duration::seconds(30.0)));
+  EXPECT_EQ(d.stats().relapses, 1u);
+  EXPECT_EQ(d.stats().suppressed_repairs, 0u);
 
   // A suspect link whose score decays back under the threshold is demoted
   // without any hold: three half-lives take 2.0 down to 0.25.
@@ -668,8 +701,10 @@ TEST(Damper, FlapDuringProbationRelapsesToQuarantine) {
   EXPECT_EQ(d.state(k, Duration::seconds(65.0)), LinkState::kProbation);
 }
 
-// Property: across a whole storm, the ladder is invoked exactly when the
-// damper is not in quarantine, and every suppressed invocation is counted.
+// Property: across a whole storm, a consumer applying the ride-out rule
+// never climbs the ladder for a flap on a quarantined link, the damper's
+// suppressed count matches the consumer's observation, and every flap is
+// exactly one of: a climb, a suppressed repair, a quarantine entry.
 TEST(Damper, StormNeverInvokesTheLadderWhileQuarantined) {
   FlapDamper d;
   const std::uint64_t key = gray_component_key({0, 3}, Direction::kEast);
@@ -680,20 +715,19 @@ TEST(Damper, StormNeverInvokesTheLadderWhileQuarantined) {
   for (int i = 0; i < 300; ++i) {
     t += rng.uniform(0.0, 4.0);
     const Duration now = Duration::seconds(t);
-    const bool allowed = d.repair_allowed(key, now);
-    EXPECT_EQ(allowed, d.state(key, now) != LinkState::kQuarantined);
-    if (allowed) {
-      ++climbs;  // the consumer would climb the repair ladder here
-    } else {
-      ++suppressed;  // quarantined: ride out the dip instead
+    const bool quarantined = d.state(key, now) == LinkState::kQuarantined;
+    if (quarantined) ++suppressed;
+    if (!d.ride_out(key, now)) {
+      EXPECT_FALSE(quarantined) << "flap " << i;
+      ++climbs;  // the consumer climbs the repair ladder here
     }
-    d.record_flap(key, now);
   }
   EXPECT_GT(climbs, 0u);
   EXPECT_GT(suppressed, 0u) << "a 300-flap storm must hit quarantine";
   EXPECT_EQ(d.stats().flaps, 300u);
   EXPECT_EQ(d.stats().suppressed_repairs, suppressed)
       << "the damper's own count must match the consumer's observation";
+  EXPECT_EQ(climbs + d.stats().suppressed_repairs + d.stats().quarantines, 300u);
 }
 
 }  // namespace

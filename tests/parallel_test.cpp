@@ -109,5 +109,48 @@ TEST(ParallelReduce, FoldsInAscendingTaskOrder) {
   EXPECT_EQ(joined, "0123456789");
 }
 
+// --- paired_sweep: the runner behind every two-arm sweep -----------------
+
+struct Cell {
+  std::size_t point{0};
+  std::size_t arm{0};
+  std::uint64_t seed{0};
+};
+
+TEST(PairedSweep, IndexLayoutAndSeedPairing) {
+  constexpr std::size_t kPoints = 3;
+  constexpr std::size_t kTrials = 4;
+  const std::vector<Cell> cells = paired_sweep<Cell>(
+      kPoints, kTrials, 99, 2, [](std::size_t p, std::size_t arm, std::uint64_t seed) {
+        return Cell{p, arm, seed};
+      });
+  ASSERT_EQ(cells.size(), kPoints * 2 * kTrials);
+  for (std::size_t p = 0; p < kPoints; ++p) {
+    for (std::size_t arm = 0; arm < 2; ++arm) {
+      for (std::size_t t = 0; t < kTrials; ++t) {
+        const Cell& c = cells[(p * 2 + arm) * kTrials + t];
+        EXPECT_EQ(c.point, p);
+        EXPECT_EQ(c.arm, arm);
+        EXPECT_EQ(c.seed, task_seed(99, p * kTrials + t))
+            << "both arms of (point, trial) share one seed";
+      }
+    }
+  }
+}
+
+TEST(PairedSweep, IdenticalAtAnyThreadCount) {
+  // Unequal per-task work so workers finish out of order.
+  const auto run = [](std::size_t p, std::size_t arm, std::uint64_t seed) {
+    Rng rng{seed};
+    double acc = 0.0;
+    for (std::size_t i = 0; i < 500 * (p + 1) + 37 * arm; ++i) acc += rng.normal();
+    return acc;
+  };
+  const std::vector<double> serial = paired_sweep<double>(5, 3, 7, 1, run);
+  for (const unsigned threads : {2u, 8u}) {
+    EXPECT_EQ(paired_sweep<double>(5, 3, 7, threads, run), serial) << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace lp::util

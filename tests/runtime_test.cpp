@@ -6,14 +6,18 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "collective/schedule.hpp"
 #include "core/training_sim.hpp"
 #include "fault/fault.hpp"
+#include "fault/gray.hpp"
 #include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
+#include "routing/plan_cache.hpp"
 #include "routing/repair.hpp"
+#include "runtime/fault_plane.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/training_run.hpp"
 #include "util/parallel.hpp"
@@ -94,6 +98,119 @@ TEST(DriveRecovery, BudgetExhaustionBacksOffExponentially) {
   EXPECT_DOUBLE_EQ(res.backoff_latency.to_seconds(), 30e-6)
       << "10 us + 20 us of exponential backoff";
   EXPECT_GT(res.repair_latency, Duration::zero());
+}
+
+// --- RecoveryPolicy::detected_at: the shared heartbeat model ---------------
+
+TEST(DetectedAt, StrikeOnATickIsNoticedAtThatTick) {
+  const RecoveryPolicy policy;
+  const Duration hb = policy.heartbeat_interval;
+  EXPECT_EQ(policy.detected_at(hb * 2.0), hb * 2.0 + policy.detection_latency);
+}
+
+TEST(DetectedAt, StrikeJustAfterATickWaitsForTheNext) {
+  const RecoveryPolicy policy;
+  const Duration hb = policy.heartbeat_interval;
+  EXPECT_EQ(policy.detected_at(hb * 2.0 + Duration::nanos(1.0)),
+            Duration::seconds(3.0 * hb.to_seconds()) + policy.detection_latency);
+}
+
+TEST(DetectedAt, StrikeAtZeroIsNoticedAtZero) {
+  RecoveryPolicy policy;
+  policy.detection_latency = Duration::micros(250.0);
+  EXPECT_EQ(policy.detected_at(Duration::zero()), Duration::micros(250.0));
+}
+
+// --- FaultPlane: the fault-facing state training and serving share ---------
+
+TEST(FaultPlane, StrikeThenRevertAllRestoresTheLedger) {
+  Fabric fab;
+  ASSERT_TRUE(fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2).ok());
+  FaultPlane plane{fab, {}, {}, /*hysteresis=*/true};
+  const std::uint64_t digest = fab.ledger_digest();
+  plane.strike({{.kind = fault::FaultKind::kWaveguideLoss, .tile = {0, 9},
+                 .direction = fabric::Direction::kSouth, .excess_loss = Decibel::db(5.0)}},
+               Decibel::db(3.0));
+  plane.strike({{.kind = fault::FaultKind::kChipDeath, .tile = {0, 20}}}, Decibel::db(3.0));
+  EXPECT_NE(fab.ledger_digest(), digest) << "quarantined lanes and parked endpoints";
+  EXPECT_EQ(plane.active().faults().size(), 2u);
+  EXPECT_TRUE(plane.active().chip_dead({0, 20}));
+
+  plane.revert_all();
+  EXPECT_EQ(fab.ledger_digest(), digest);
+  EXPECT_TRUE(plane.active().empty());
+}
+
+TEST(FaultPlane, RepairOptionsValidateRejectsAnUnhealthyReplacement) {
+  Fabric fab;
+  const auto hurt = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);  // east along row 0
+  const auto fine = fab.connect(GlobalTile{0, 8}, GlobalTile{0, 11}, 2);  // row 1
+  ASSERT_TRUE(hurt.ok());
+  ASSERT_TRUE(fine.ok());
+  FaultPlane plane{fab, {}, {}, /*hysteresis=*/false};
+  plane.strike({{.kind = fault::FaultKind::kMziStuck, .tile = {0, 1},
+                 .direction = fabric::Direction::kEast, .stuck_port = phys::MziPort::kCross}},
+               Decibel::db(3.0));
+  ASSERT_EQ(plane.diagnose(hurt.value()).health, fault::CircuitHealth::kDown);
+
+  const routing::EscalationOptions opts = plane.repair_options(2);
+  EXPECT_EQ(opts.wavelengths, 2u);
+  EXPECT_NE(opts.cache, nullptr);
+  ASSERT_TRUE(opts.validate);
+  EXPECT_FALSE(opts.validate(fab, hurt.value())) << "a replacement through the stuck switch";
+  EXPECT_TRUE(opts.validate(fab, fine.value()));
+}
+
+TEST(FaultPlane, NaiveFlapClimbsEveryFlap) {
+  Fabric fab;
+  const auto id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
+  ASSERT_TRUE(id.ok());
+  FaultPlane plane{fab, {}, {}, /*hysteresis=*/false};
+  const std::uint64_t key = fault::gray_component_key({0, 0}, fabric::Direction::kEast);
+  for (int i = 0; i < 5; ++i) {
+    const Duration t = Duration::millis(static_cast<double>(i));
+    const std::optional<RecoveryResult> res = plane.flap(key, t, id.value(), {}, 2);
+    ASSERT_TRUE(res.has_value()) << "flap " << i;
+    EXPECT_FALSE(res->recovered);
+    EXPECT_GT(res->transient_failures, 0u) << "every attempt inside the dip settles out";
+    EXPECT_EQ(plane.now(), t);
+  }
+  EXPECT_EQ(plane.damper_stats().flaps, 0u) << "the naive controller keeps no score";
+  EXPECT_NE(fab.circuit(id.value()), nullptr) << "thrash commits nothing";
+}
+
+TEST(FaultPlane, HysteresisRidesOutFromTheTrippingFlapAndQuarantinesCachedRoutes) {
+  Fabric fab;
+  const auto id = fab.connect(GlobalTile{0, 8}, GlobalTile{0, 11}, 2);
+  ASSERT_TRUE(id.ok());
+  FaultPlane plane{fab, {}, {}, /*hysteresis=*/true};
+  const std::uint64_t key = fault::gray_component_key({0, 0}, fabric::Direction::kEast);
+
+  // Scores 1.0 and 2.0 stay under the quarantine threshold: both climb.
+  EXPECT_TRUE(plane.flap(key, Duration::zero(), id.value(), {}, 2).has_value());
+  EXPECT_TRUE(plane.flap(key, Duration::zero(), id.value(), {}, 2).has_value());
+
+  // Warm a route through the flapping port.
+  routing::PlanCache& cache = *plane.repair_options(1).cache;
+  const routing::Demand d{{0, 0}, {0, 3}, 1};
+  const auto hops = cache.route_for(d);
+  ASSERT_TRUE(hops.has_value());
+  ASSERT_EQ(hops->front(), fabric::Direction::kEast);
+  const std::uint64_t epoch = fab.epoch();
+  const std::uint64_t rejections = cache.stats().quarantine_rejections;
+
+  // The tripping flap and every later one are ridden out.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(plane.flap(key, Duration::seconds(static_cast<double>(i)), id.value(), {}, 2)
+                     .has_value())
+        << "flap " << i + 3;
+  }
+  EXPECT_EQ(plane.damper_stats().quarantines, 1u);
+  EXPECT_EQ(plane.damper_stats().suppressed_repairs, 2u);
+
+  EXPECT_FALSE(cache.route_for(d).has_value()) << "the memo crosses a quarantined port";
+  EXPECT_GT(cache.stats().quarantine_rejections, rejections);
+  EXPECT_EQ(fab.epoch(), epoch) << "quarantine is a view, not an invalidation";
 }
 
 // --- TrainingRun -----------------------------------------------------------
@@ -386,6 +503,22 @@ TEST(GraySweep, ReportIdenticalAtAnyThreadCount) {
     const auto parallel = run_gray_sweep(config);
     ASSERT_EQ(parallel.points.size(), serial.points.size());
     EXPECT_EQ(parallel.digest(), serial.digest()) << threads << " threads";
+  }
+}
+
+// The shared ride-out rule (FlapDamper::ride_out): on the hysteresis arm
+// every observed dip is exactly one of a thrash climb, a suppressed repair,
+// or a quarantine entry; the naive arm climbs on every dip it observes.
+TEST(GraySweep, EveryFlapIsAClimbASuppressionOrAQuarantine) {
+  const auto report = run_gray_sweep(small_gray_config());
+  for (const GrayPointReport& pt : report.points) {
+    if (pt.hysteresis) {
+      EXPECT_GT(pt.quarantines, 0u) << pt.flap_rate_per_hour;
+      EXPECT_EQ(pt.flap_transitions, pt.flap_repairs + pt.suppressed_repairs + pt.quarantines)
+          << pt.flap_rate_per_hour;
+    } else {
+      EXPECT_EQ(pt.flap_transitions, pt.flap_repairs) << pt.flap_rate_per_hour;
+    }
   }
 }
 

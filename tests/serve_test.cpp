@@ -166,5 +166,27 @@ TEST(Serving, DefaultWaferIsResizedToFitReplicas) {
   EXPECT_EQ(r.offered, r.completed + r.abandoned + r.in_flight_at_end);
 }
 
+// The shared ride-out rule (FlapDamper::ride_out): with hysteresis every
+// observed dip is exactly one of a thrash climb, a suppressed repair, or a
+// quarantine entry; the naive controller climbs on every dip.
+TEST(Serving, EveryFlapIsAClimbASuppressionOrAQuarantine) {
+  for (const bool hysteresis : {true, false}) {
+    ServingParams p = small_params();
+    p.flap_rate_per_hour = 2e6;  // accelerated: tens of episodes in 5 ms
+    p.gray_hysteresis = hysteresis;
+    const ServingReport r = run_serving(p);
+    ASSERT_GT(r.flap_transitions, 0u);
+    if (hysteresis) {
+      EXPECT_GT(r.flap_repairs, 0u);
+      EXPECT_GT(r.suppressed_repairs, 0u);
+      EXPECT_GT(r.quarantines, 0u);
+      EXPECT_EQ(r.flap_transitions, r.flap_repairs + r.suppressed_repairs + r.quarantines);
+    } else {
+      EXPECT_EQ(r.flap_transitions, r.flap_repairs);
+      EXPECT_EQ(r.suppressed_repairs + r.quarantines, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lp::serve
