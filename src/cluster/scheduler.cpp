@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -46,10 +45,8 @@ ClusterScheduler::ClusterScheduler(const ClusterParams& params)
   if (params_.mix.empty()) params_.mix = default_mix();
   const auto chips = static_cast<std::size_t>(cluster_.chip_count());
   chip_owner_.assign(chips, -1);
-  const auto racks = static_cast<std::size_t>(cluster_.rack_count());
-  rack_free_.assign(racks, cluster_.chips_per_rack());
-  rack_largest_.assign(racks, cluster_.chips_per_rack());
-  total_free_ = cluster_.chip_count();
+  rack_largest_.assign(static_cast<std::size_t>(cluster_.rack_count()),
+                       cluster_.chips_per_rack());
   placeable_sum_ = cluster_.chip_count();
 }
 
@@ -68,11 +65,8 @@ void ClusterScheduler::mark_rack_dirty(topo::RackId rack) {
 void ClusterScheduler::refresh_racks() {
   for (const topo::RackId rack : dirty_racks_) {
     const auto r = static_cast<std::size_t>(rack);
-    total_free_ -= rack_free_[r];
     placeable_sum_ -= rack_largest_[r];
-    rack_free_[r] = alloc_.free_in_rack(rack);
     rack_largest_[r] = alloc_.largest_placeable(rack).size();
-    total_free_ += rack_free_[r];
     placeable_sum_ += rack_largest_[r];
   }
   dirty_racks_.clear();
@@ -82,9 +76,10 @@ void ClusterScheduler::accumulate_metrics(TimePoint to) {
   refresh_racks();
   const double dt = (to - metrics_at_).to_seconds();
   if (dt > 0.0) {
-    const double free = static_cast<double>(total_free_);
+    const std::int32_t total_free = cluster_.free_count();
+    const double free = static_cast<double>(total_free);
     const double stranding =
-        total_free_ == 0 ? 0.0 : 1.0 - static_cast<double>(placeable_sum_) / free;
+        total_free == 0 ? 0.0 : 1.0 - static_cast<double>(placeable_sum_) / free;
     const double chips = static_cast<double>(cluster_.chip_count());
     const double failed = static_cast<double>(report_.fatal_chip_failures);
     const double util = (chips - free - failed) / chips;
@@ -158,16 +153,16 @@ bool ClusterScheduler::place_contiguous(Job& job) {
 
 std::vector<ClusterScheduler::Fragment> ClusterScheduler::harvest(
     std::int32_t volume) {
-  refresh_racks();
   // Racks in (free descending, rack ascending) order: the fewest fragments
-  // cover the volume, and ties resolve identically on every run.
+  // cover the volume, and ties resolve identically on every run.  The order
+  // is fixed before any chip is taken, since taking one changes the counts.
   std::vector<topo::RackId> order;
   for (topo::RackId r = 0; r < cluster_.rack_count(); ++r) {
-    if (rack_free_[static_cast<std::size_t>(r)] > 0) order.push_back(r);
+    if (cluster_.free_in_rack(r) > 0) order.push_back(r);
   }
   std::sort(order.begin(), order.end(), [this](topo::RackId a, topo::RackId b) {
-    const std::int32_t fa = rack_free_[static_cast<std::size_t>(a)];
-    const std::int32_t fb = rack_free_[static_cast<std::size_t>(b)];
+    const std::int32_t fa = cluster_.free_in_rack(a);
+    const std::int32_t fb = cluster_.free_in_rack(b);
     if (fa != fb) return fa > fb;
     return a < b;
   });
@@ -279,39 +274,34 @@ void ClusterScheduler::try_admit() {
     std::vector<routing::Demand> demands;
   };
   std::vector<MorphCandidate> batch;
-  std::vector<std::uint64_t> still_queued;
-  std::set<topo::Shape> failed_contiguous;
-  std::int32_t failed_morph_volume = std::numeric_limits<std::int32_t>::max();
   const bool can_morph = params_.policy == SchedulerPolicy::kPhotonicMorph &&
                          params_.morph_enabled;
-
-  for (const std::uint64_t id : queue_) {
-    Job& job = jobs_.at(id);
-    if (failed_contiguous.count(job.shape) == 0 && place_contiguous(job)) {
-      start_job(job, now);
-      continue;
-    }
-    failed_contiguous.insert(job.shape);
-    const std::int32_t volume = job.shape.size();
-    if (can_morph && volume < failed_morph_volume) {
-      std::vector<Fragment> frags = harvest(volume);
-      if (!frags.empty()) {
+  // Contiguous placements start during the pass; staged morphs start after
+  // the batch plan, in stage order.
+  queue_.pass(
+      can_morph,
+      [&](std::uint64_t id) {
+        Job& job = jobs_.at(id);
+        if (!place_contiguous(job)) return false;
+        start_job(job, now);
+        return true;
+      },
+      [&](std::uint64_t id) {
+        std::vector<Fragment> frags = harvest(jobs_.at(id).shape.size());
+        if (frags.empty()) return false;
         const auto ports = static_cast<std::uint32_t>(frags.size());
-        if (ocs_.reserve(ports)) {
-          MorphCandidate c;
-          c.id = id;
-          c.fragments = std::move(frags);
-          c.ports = ports;
-          c.demands = stitch_demands(c.fragments);
-          batch.push_back(std::move(c));
-          continue;  // queued-ness resolved after planning
+        if (!ocs_.reserve(ports)) {
+          unharvest(frags);
+          return false;
         }
-        unharvest(frags);
-      }
-      failed_morph_volume = std::min(failed_morph_volume, volume);
-    }
-    still_queued.push_back(id);
-  }
+        MorphCandidate c;
+        c.id = id;
+        c.fragments = std::move(frags);
+        c.ports = ports;
+        c.demands = stitch_demands(c.fragments);
+        batch.push_back(std::move(c));
+        return true;
+      });
 
   // Plan the batch's stitch rings.  A lone morph goes through the
   // PlanCache (repeated demand sets against an unchanged ledger replay
@@ -334,6 +324,7 @@ void ClusterScheduler::try_admit() {
     auto result = routing::plan_jobs(fab_, sets, opts);
     reports = std::move(result.reports);
   }
+  std::vector<bool> started(batch.size(), false);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     MorphCandidate& c = batch[i];
     Job& job = jobs_.at(c.id);
@@ -341,7 +332,6 @@ void ClusterScheduler::try_admit() {
     if (!ok) {
       unharvest(c.fragments);
       ocs_.release(c.ports);
-      still_queued.push_back(c.id);
       continue;
     }
     take_chips(job, c.fragments);
@@ -352,15 +342,9 @@ void ClusterScheduler::try_admit() {
     }
     ++report_.placed_morphed;
     start_job(job, now);
+    started[i] = true;
   }
-
-  // Preserve arrival order among the survivors.
-  std::set<std::uint64_t> keep(still_queued.begin(), still_queued.end());
-  std::deque<std::uint64_t> next;
-  for (const std::uint64_t id : queue_) {
-    if (keep.count(id) > 0) next.push_back(id);
-  }
-  queue_ = std::move(next);
+  queue_.settle(started);
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +640,7 @@ void ClusterScheduler::requeue(Job& job) {
     jobs_.erase(job.id);
     return;
   }
-  queue_.push_back(job.id);
+  queue_.push(job.id, job.shape);
 }
 
 void ClusterScheduler::stall_and_resume(Job& job, Duration stall, bool state_loss,
@@ -833,7 +817,7 @@ void ClusterScheduler::admit_new_job(topo::Shape shape, Duration service) {
       static_cast<double>(job.original_volume) * service.to_seconds();
   const std::uint64_t id = job.id;
   jobs_.emplace(id, std::move(job));
-  queue_.push_back(id);
+  queue_.push(id, shape);
   try_admit();
 }
 

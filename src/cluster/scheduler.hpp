@@ -45,11 +45,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "cluster/admission.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
@@ -394,17 +394,16 @@ class ClusterScheduler {
   fault::FlapDamper damper_;
 
   std::map<std::uint64_t, Job> jobs_;  ///< ordered: deterministic iteration
-  std::deque<std::uint64_t> queue_;
+  AdmissionQueue queue_;
   std::vector<std::int64_t> chip_owner_;  ///< -1 = none
   std::uint64_t next_job_id_{0};
   std::uint32_t running_{0};
 
-  // Per-rack fragmentation cache (satellite accounting, recomputed lazily
-  // for racks whose chips changed state).
-  std::vector<std::int32_t> rack_free_;
+  // Per-rack largest-placeable cache for the stranding metric, recomputed
+  // lazily for racks whose chips changed state (free counts are the
+  // cluster's own).
   std::vector<std::int32_t> rack_largest_;
   std::set<topo::RackId> dirty_racks_;
-  std::int32_t total_free_{0};
   std::int32_t placeable_sum_{0};
 
   std::array<std::uint32_t, 64> tile_cursor_{};  ///< per-wafer stitch tiles

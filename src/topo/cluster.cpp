@@ -9,7 +9,9 @@ TpuCluster::TpuCluster(ClusterConfig config)
       rack_torus_{config.rack_shape},
       states_(static_cast<std::size_t>(config.racks) *
                   static_cast<std::size_t>(config.rack_shape.size()),
-              ChipState::kFree) {
+              ChipState::kFree),
+      rack_free_(static_cast<std::size_t>(config.racks), config.rack_shape.size()),
+      free_count_{config.racks * config.rack_shape.size()} {
   assert(config.racks > 0);
 }
 
@@ -20,8 +22,6 @@ std::int32_t TpuCluster::servers_per_rack() const {
 TpuId TpuCluster::chip_at(RackId rack, Coord c) const {
   return rack * chips_per_rack() + rack_torus_.index(c);
 }
-
-RackId TpuCluster::rack_of(TpuId chip) const { return chip / chips_per_rack(); }
 
 Coord TpuCluster::coord_of(TpuId chip) const {
   return rack_torus_.coord(chip % chips_per_rack());

@@ -70,7 +70,7 @@ class TpuCluster {
 
   /// Global chip id of (rack, coordinate-within-rack).
   [[nodiscard]] TpuId chip_at(RackId rack, Coord c) const;
-  [[nodiscard]] RackId rack_of(TpuId chip) const;
+  [[nodiscard]] RackId rack_of(TpuId chip) const { return chip / chips_per_rack(); }
   [[nodiscard]] Coord coord_of(TpuId chip) const;
 
   /// Server index within the rack of the given chip (0..15 by default).
@@ -79,7 +79,23 @@ class TpuCluster {
   [[nodiscard]] std::vector<TpuId> server_chips(TpuId chip) const;
 
   [[nodiscard]] ChipState state(TpuId chip) const { return states_[static_cast<std::size_t>(chip)]; }
-  void set_state(TpuId chip, ChipState s) { states_[static_cast<std::size_t>(chip)] = s; }
+  /// The only writer of chip state; keeps the free counts below current.
+  void set_state(TpuId chip, ChipState s) {
+    ChipState& cur = states_[static_cast<std::size_t>(chip)];
+    if ((cur == ChipState::kFree) != (s == ChipState::kFree)) {
+      const std::int32_t delta = s == ChipState::kFree ? 1 : -1;
+      rack_free_[static_cast<std::size_t>(rack_of(chip))] += delta;
+      free_count_ += delta;
+    }
+    cur = s;
+  }
+
+  /// Number of kFree chips in `rack`, O(1).
+  [[nodiscard]] std::int32_t free_in_rack(RackId rack) const {
+    return rack_free_[static_cast<std::size_t>(rack)];
+  }
+  /// Number of kFree chips in the cluster, O(1).
+  [[nodiscard]] std::int32_t free_count() const { return free_count_; }
 
   [[nodiscard]] std::vector<TpuId> chips_in_state(ChipState s) const;
   [[nodiscard]] std::vector<TpuId> free_chips_in_rack(RackId rack) const;
@@ -107,6 +123,8 @@ class TpuCluster {
   ClusterConfig config_;
   Torus rack_torus_;
   std::vector<ChipState> states_;
+  std::vector<std::int32_t> rack_free_;  ///< kFree chips per rack
+  std::int32_t free_count_{0};
 };
 
 }  // namespace lp::topo

@@ -30,11 +30,59 @@ bool Slice::spans_dimension(std::size_t d, const Shape& rack_shape) const {
   return shape[d] == rack_shape[d];
 }
 
+namespace {
+
+// Malformed requests: an extent below 1 would place an empty slice, and a
+// rack outside the cluster would index past the chip table.
+std::optional<Error> bad_shape(Shape shape) {
+  for (std::size_t d = 0; d < kDims; ++d) {
+    if (shape[d] < 1) return Err("slice extent below 1 along dim " + std::to_string(d));
+  }
+  return std::nullopt;
+}
+
+std::optional<Error> bad_request(const TpuCluster& cluster, RackId rack, Shape shape) {
+  if (rack < 0 || rack >= cluster.rack_count())
+    return Err("rack " + std::to_string(rack) + " is out of range");
+  return bad_shape(shape);
+}
+
+}  // namespace
+
 SliceAllocator::SliceAllocator(TpuCluster& cluster)
     : cluster_{cluster},
-      owner_(static_cast<std::size_t>(cluster.chip_count()), -1) {}
+      owner_(static_cast<std::size_t>(cluster.chip_count()), -1) {
+  const Shape& rs = cluster_.config().rack_shape;
+  for (std::int32_t sx = 1; sx <= rs[0]; ++sx) {
+    for (std::int32_t sy = 1; sy <= rs[1]; ++sy) {
+      for (std::int32_t sz = 1; sz <= rs[2]; ++sz) {
+        candidates_.push_back(Shape{{sx, sy, sz}});
+      }
+    }
+  }
+  std::sort(candidates_.begin(), candidates_.end(), [](const Shape& a, const Shape& b) {
+    if (a.size() != b.size()) return a.size() > b.size();
+    return a.extent < b.extent;
+  });
+}
+
+bool SliceAllocator::fits(RackId rack, Coord offset, Shape shape) const {
+  const Torus& torus = cluster_.rack_torus();
+  const TpuId base = rack * cluster_.chips_per_rack();
+  for (std::int32_t dx = 0; dx < shape[0]; ++dx) {
+    for (std::int32_t dy = 0; dy < shape[1]; ++dy) {
+      for (std::int32_t dz = 0; dz < shape[2]; ++dz) {
+        const TpuId chip =
+            base + torus.index(Coord{{offset[0] + dx, offset[1] + dy, offset[2] + dz}});
+        if (cluster_.state(chip) != ChipState::kFree) return false;
+      }
+    }
+  }
+  return true;
+}
 
 Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape shape) {
+  if (auto bad = bad_request(cluster_, rack, shape)) return std::move(*bad);
   const Shape& rs = cluster_.config().rack_shape;
   for (std::size_t d = 0; d < kDims; ++d) {
     if (offset[d] < 0 || offset[d] + shape[d] > rs[d])
@@ -61,12 +109,13 @@ Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape sha
 }
 
 Result<SliceId> SliceAllocator::allocate_in_rack(RackId rack, Shape shape) {
+  if (auto bad = bad_request(cluster_, rack, shape)) return std::move(*bad);
   const Shape& rs = cluster_.config().rack_shape;
   for (std::int32_t x = 0; x + shape[0] <= rs[0]; ++x) {
     for (std::int32_t y = 0; y + shape[1] <= rs[1]; ++y) {
       for (std::int32_t z = 0; z + shape[2] <= rs[2]; ++z) {
-        auto attempt = allocate_at(rack, Coord{{x, y, z}}, shape);
-        if (attempt) return attempt;
+        const Coord offset{{x, y, z}};
+        if (fits(rack, offset, shape)) return allocate_at(rack, offset, shape);
       }
     }
   }
@@ -74,6 +123,7 @@ Result<SliceId> SliceAllocator::allocate_in_rack(RackId rack, Shape shape) {
 }
 
 Result<SliceId> SliceAllocator::allocate(Shape shape) {
+  if (auto bad = bad_shape(shape)) return std::move(*bad);
   // Best-fit total order: racks by (free chips ascending, rack id
   // ascending); a rack is skipped outright when its free count cannot cover
   // the shape.  See the header for the full contract.
@@ -121,45 +171,23 @@ std::vector<SliceId> SliceAllocator::active_slices() const {
   return out;
 }
 
-std::int32_t SliceAllocator::free_in_rack(RackId rack) const {
-  std::int32_t count = 0;
-  const std::int32_t per = cluster_.chips_per_rack();
-  for (std::int32_t i = 0; i < per; ++i) {
-    if (cluster_.state(rack * per + i) == ChipState::kFree) ++count;
-  }
-  return count;
-}
-
 Shape SliceAllocator::largest_placeable(RackId rack) const {
+  const std::int32_t free_total = free_in_rack(rack);
+  if (free_total == 0) return Shape{{0, 0, 0}};
   const Shape& rs = cluster_.config().rack_shape;
-  // Free-cell occupancy of the rack, indexed by the rack torus.
+  // Free-cell occupancy of the rack, indexed by the rack torus: one pass
+  // over the rack, then every candidate probe reads bits (measured faster
+  // than probing chip states through fits()).
   const std::int32_t per = cluster_.chips_per_rack();
   std::vector<bool> free_cell(static_cast<std::size_t>(per));
-  std::int32_t free_total = 0;
   for (std::int32_t i = 0; i < per; ++i) {
-    const bool f = cluster_.state(rack * per + i) == ChipState::kFree;
-    free_cell[static_cast<std::size_t>(i)] = f;
-    if (f) ++free_total;
+    free_cell[static_cast<std::size_t>(i)] =
+        cluster_.state(rack * per + i) == ChipState::kFree;
   }
-  if (free_total == 0) return Shape{{0, 0, 0}};
-
-  // Candidate shapes in (volume descending, shape lexicographic ascending)
-  // order; the first placeable candidate is the answer.
-  std::vector<Shape> candidates;
-  for (std::int32_t sx = 1; sx <= rs[0]; ++sx) {
-    for (std::int32_t sy = 1; sy <= rs[1]; ++sy) {
-      for (std::int32_t sz = 1; sz <= rs[2]; ++sz) {
-        candidates.push_back(Shape{{sx, sy, sz}});
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(), [](const Shape& a, const Shape& b) {
-    if (a.size() != b.size()) return a.size() > b.size();
-    return a.extent < b.extent;
-  });
-
+  // The first placeable candidate (volume descending, shape lexicographic
+  // ascending) is the answer.
   const Torus& torus = cluster_.rack_torus();
-  for (const Shape& s : candidates) {
+  for (const Shape& s : candidates_) {
     if (s.size() > free_total) continue;
     for (std::int32_t x = 0; x + s[0] <= rs[0]; ++x) {
       for (std::int32_t y = 0; y + s[1] <= rs[1]; ++y) {

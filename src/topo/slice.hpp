@@ -75,7 +75,8 @@ class SliceAllocator {
   explicit SliceAllocator(TpuCluster& cluster);
 
   /// Place a slice at an explicit offset (used to reconstruct the paper's
-  /// figures).  Fails if any covered chip is not free.
+  /// figures).  Fails if the rack is out of range, an extent is below 1,
+  /// the slice leaves the rack, or any covered chip is not free.
   Result<SliceId> allocate_at(RackId rack, Coord offset, Shape shape);
 
   /// Best-fit scan with a documented deterministic total order:
@@ -106,8 +107,10 @@ class SliceAllocator {
   /// Owning slice of a chip, or nullopt if free/failed/unowned.
   [[nodiscard]] std::optional<SliceId> owner(TpuId chip) const;
 
-  /// Number of kFree chips in `rack`.
-  [[nodiscard]] std::int32_t free_in_rack(RackId rack) const;
+  /// Number of kFree chips in `rack` (TpuCluster's O(1) count).
+  [[nodiscard]] std::int32_t free_in_rack(RackId rack) const {
+    return cluster_.free_in_rack(rack);
+  }
 
   /// Largest-volume shape placeable entirely on free chips of `rack`
   /// (ties broken by lexicographically smallest shape); {0,0,0} if none.
@@ -122,7 +125,14 @@ class SliceAllocator {
   [[nodiscard]] const TpuCluster& cluster() const { return cluster_; }
 
  private:
+  /// Whether `shape` at `offset` lies on free chips of `rack`; the caller
+  /// has checked that it lies inside the rack.  Allocates nothing.
+  [[nodiscard]] bool fits(RackId rack, Coord offset, Shape shape) const;
+
   TpuCluster& cluster_;
+  /// Every shape that fits a rack, in largest_placeable's (volume
+  /// descending, extent ascending) order.
+  std::vector<Shape> candidates_;
   std::vector<Slice> slices_;
   std::vector<bool> live_;
   std::vector<std::int32_t> owner_;  ///< per chip, -1 = none

@@ -252,5 +252,118 @@ TEST(ClusterScheduler, EveryFlapOnARunningJobIsAClimbASuppressionOrAQuarantine) 
   }
 }
 
+// Admission-order pins: small runs over both policies whose digests were
+// recorded before admission moved onto cluster::AdmissionQueue.  The digest
+// folds every completion (job id and time) and the final chip states, so
+// any change in which job starts when, or on which chips, moves it.  Each
+// config names the admission path it leans on, and `covers` keeps it from
+// silently drifting off that path.
+struct PinnedRun {
+  const char* name;
+  ClusterParams params;
+  std::uint64_t digest;
+  bool (*covers)(const ClusterReport&);
+};
+
+std::vector<PinnedRun> pinned_runs() {
+  std::vector<PinnedRun> runs;
+  const auto add = [&](const char* name, ClusterParams p, std::uint64_t digest,
+                       bool (*covers)(const ClusterReport&)) {
+    runs.push_back(PinnedRun{name, std::move(p), digest, covers});
+  };
+  const auto overload = [](std::int32_t racks) {
+    ClusterParams p = small_cluster(racks);
+    p.arrival_rate_per_s = 6.0;
+    p.service_mean = Duration::seconds(20.0);
+    p.mtbf_hours = 0.5;
+    return p;
+  };
+  const auto electrical = [](ClusterParams p) {
+    p.policy = SchedulerPolicy::kElectricalOnly;
+    return p;
+  };
+  using R = const ClusterReport&;
+
+  {
+    ClusterParams p = small_cluster(2);
+    p.arrival_rate_per_s = 2.0;
+    p.mtbf_hours = 0.5;
+    add("photonic/base", p, 0x20bbde819f8bca22, [](R r) { return r.placed_morphed > 0; });
+    add("electrical/base", electrical(p), 0x7fd03785d52e7eb8,
+        [](R r) { return r.migrations > 0; });
+  }
+  add("photonic/overload", overload(3), 0x96c65b8e1ef4f023,
+      [](R r) { return r.placed_morphed > 0; });
+  add("electrical/overload", electrical(overload(3)), 0x85d8b1ce53b0d753,
+      [](R r) { return r.migrations > 0; });
+  {
+    ClusterParams p = overload(3);
+    p.morph_enabled = false;
+    add("photonic/morph-off", p, 0x31f8d83182b0dbe5,
+        [](R r) { return r.placed_morphed == 0; });
+  }
+  {
+    // Requeue-heavy: frequent fatal faults and no shrink, so recovery
+    // requeues (and aborts past max_requeues) keep re-pushing old ids.
+    ClusterParams p = overload(2);
+    p.mtbf_hours = 0.01;
+    p.shrink_min_fraction = 1.01;
+    p.max_requeues = 1;
+    add("photonic/requeue-heavy", p, 0xb3f8a2f90dd87551,
+        [](R r) { return r.requeues > 10 && r.morphs > 0; });
+    p.max_requeues = 0;
+    add("electrical/requeue-heavy", electrical(p), 0x744674af342c4235,
+        [](R r) { return r.requeues > 10 && r.aborted > 10; });
+  }
+  {
+    // Morph-abort-heavy: two fragments at most and two OCS ports, so
+    // admission morphs keep failing (harvest or port reservation), the
+    // failed-volume rule does the work, and recovery morphs abort.
+    ClusterParams p = overload(4);
+    p.max_fragments = 2;
+    p.ocs_switches = 1;
+    p.ocs.ports = 2;
+    p.mtbf_hours = 0.01;
+    add("photonic/morph-abort-heavy", p, 0x05027ac5c5803a8a,
+        [](R r) { return r.morph_aborts > 10 && r.placed_morphed > 0; });
+  }
+  {
+    // Flaps: with hysteresis, harvest and respare defer off quarantined
+    // chips; the naive arm pays a repair stall for every flap.
+    ClusterParams p = overload(4);
+    p.flap_rate_per_hour = 720.0;
+    p.flappy_chips = 32;
+    add("photonic/flaps-hysteresis", p, 0x4384b9bd25e379fc,
+        [](R r) { return r.morph_deferrals > 0 && r.placed_morphed > 0; });
+    add("electrical/flaps-hysteresis", electrical(p), 0xe461dfc8c6cea8c3,
+        [](R r) { return r.flap_repairs > 0 && r.migrations > 0; });
+    p.gray_hysteresis = false;
+    add("photonic/flaps-naive", p, 0x9258cdb4bdddcf4c,
+        [](R r) { return r.flap_repairs > 0 && r.morph_deferrals == 0; });
+  }
+  {
+    // Two shapes of one volume (4x2x1 and 2x4x1) plus single chips and a
+    // rack-sized job: a failed morph volume must rule out both shapes.
+    ClusterParams p = overload(3);
+    p.mix = {{Shape{{4, 2, 1}}, 2.0}, {Shape{{2, 4, 1}}, 2.0}, {Shape{{1, 1, 1}}, 1.0},
+             {Shape{{2, 2, 2}}, 1.0}, {Shape{{4, 4, 4}}, 0.3}};
+    add("photonic/shared-volume-mix", p, 0x58944eb6b80ddc0b,
+        [](R r) { return r.placed_morphed > 0; });
+    add("electrical/shared-volume-mix", electrical(p), 0x609ce4958aa4c587,
+        [](R r) { return r.migrations > 0; });
+  }
+  return runs;
+}
+
+TEST(ClusterScheduler, AdmissionOrderMatchesPinnedDigests) {
+  for (const PinnedRun& run : pinned_runs()) {
+    const ClusterReport r = run_cluster(run.params);
+    EXPECT_EQ(r.digest, run.digest)
+        << run.name << ": digest " << std::hex << r.digest << std::dec;
+    EXPECT_GT(r.queue_delay_p99_s, 0.0) << run.name << ": no queue ever formed";
+    EXPECT_TRUE(run.covers(r)) << run.name << ": off its admission path";
+  }
+}
+
 }  // namespace
 }  // namespace lp::cluster

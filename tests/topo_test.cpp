@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "topo/cluster.hpp"
 #include "topo/slice.hpp"
 #include "topo/torus.hpp"
+#include "util/rng.hpp"
 
 namespace lp::topo {
 namespace {
@@ -85,6 +90,38 @@ TEST(Cluster, StateTracking) {
   EXPECT_EQ(cluster.chips_in_state(ChipState::kFailed).size(), 1u);
   EXPECT_EQ(cluster.free_chips_in_rack(1).size(), 63u);
   EXPECT_EQ(cluster.free_chips_in_rack(0).size(), 64u);
+}
+
+// set_state keeps O(1) free counts; they must equal a recount after any
+// sequence of writes, same-state writes and failed -> free included.
+TEST(Cluster, FreeCountsTrackEveryStateChange) {
+  ClusterConfig config;
+  config.racks = 3;
+  TpuCluster cluster{config};
+  Rng rng{0xf7ee};
+  const auto recount = [&](RackId rack) {
+    return static_cast<std::int32_t>(cluster.free_chips_in_rack(rack).size());
+  };
+  constexpr std::array<ChipState, 3> kStates{ChipState::kFree, ChipState::kAllocated,
+                                             ChipState::kFailed};
+  for (int step = 0; step < 5000; ++step) {
+    // Half the writes hit a small hot set, so same-state writes and every
+    // transition (failed -> free too) happen often.
+    const auto chips = static_cast<std::uint64_t>(cluster.chip_count());
+    const auto chip =
+        static_cast<TpuId>(rng.uniform_index(rng.bernoulli(0.5) ? 8 : chips));
+    cluster.set_state(chip, kStates[rng.uniform_index(kStates.size())]);
+    const RackId rack = cluster.rack_of(chip);
+    ASSERT_EQ(cluster.free_in_rack(rack), recount(rack)) << "step " << step;
+    if (step % 97 == 0) {
+      std::int32_t total = 0;
+      for (RackId r = 0; r < cluster.rack_count(); ++r) {
+        ASSERT_EQ(cluster.free_in_rack(r), recount(r)) << "step " << step;
+        total += recount(r);
+      }
+      ASSERT_EQ(cluster.free_count(), total) << "step " << step;
+    }
+  }
 }
 
 TEST(Cluster, DimBandwidthIsThirdOfChip) {
@@ -290,6 +327,141 @@ TEST(Allocator, PlacementIsInvariantToAllocationHistory) {
     EXPECT_EQ(sa->offset, sb->offset);
     EXPECT_EQ(sa->shape, sb->shape);
   }
+}
+
+// Out-of-range racks used to index past the chip table, and extents below
+// 1 used to "place" an empty slice; every entry point now refuses both.
+TEST(Allocator, RejectsOutOfRangeRackAndEmptyShapes) {
+  ClusterConfig config;
+  config.racks = 2;
+  TpuCluster cluster{config};
+  SliceAllocator alloc{cluster};
+  const Coord origin{{0, 0, 0}};
+  const Shape tray{{2, 2, 1}};
+  for (const RackId rack : {-1, 2, 1000}) {
+    EXPECT_FALSE(alloc.allocate_at(rack, origin, tray).ok()) << rack;
+    EXPECT_FALSE(alloc.allocate_in_rack(rack, tray).ok()) << rack;
+  }
+  for (const Shape shape : {Shape{{0, 4, 4}}, Shape{{-2, -2, 4}}, Shape{{4, 4, 0}},
+                            Shape{{1, -1, 1}}}) {
+    EXPECT_FALSE(alloc.allocate_at(0, origin, shape).ok()) << shape.extent[0];
+    EXPECT_FALSE(alloc.allocate_in_rack(0, shape).ok()) << shape.extent[0];
+    EXPECT_FALSE(alloc.allocate(shape).ok()) << shape.extent[0];
+  }
+  EXPECT_TRUE(alloc.active_slices().empty());
+  EXPECT_EQ(cluster.free_count(), cluster.chip_count());
+  // Valid requests still work at both ends of the rack range.
+  EXPECT_TRUE(alloc.allocate_at(1, origin, tray).ok());
+  EXPECT_TRUE(alloc.allocate_in_rack(0, tray).ok());
+}
+
+// allocate() and largest_placeable() against an exhaustive search written
+// from their documented contracts, on random free/allocated/failed racks.
+TEST(Allocator, SearchMatchesBruteForce) {
+  struct Placement {
+    RackId rack;
+    Coord offset;
+  };
+  const auto fits = [](const TpuCluster& c, RackId rack, Coord o, Shape s) {
+    for (std::int32_t x = 0; x < s[0]; ++x) {
+      for (std::int32_t y = 0; y < s[1]; ++y) {
+        for (std::int32_t z = 0; z < s[2]; ++z) {
+          const Coord at{{o[0] + x, o[1] + y, o[2] + z}};
+          if (c.state(c.chip_at(rack, at)) != ChipState::kFree) return false;
+        }
+      }
+    }
+    return true;
+  };
+  // Every offset of `s` inside the rack, row-major (x outermost).
+  const auto offsets = [](Shape rs, Shape s) {
+    std::vector<Coord> out;
+    for (std::int32_t x = 0; x + s[0] <= rs[0]; ++x) {
+      for (std::int32_t y = 0; y + s[1] <= rs[1]; ++y) {
+        for (std::int32_t z = 0; z + s[2] <= rs[2]; ++z) out.push_back(Coord{{x, y, z}});
+      }
+    }
+    return out;
+  };
+  const auto free_chips = [](const TpuCluster& c, RackId rack) {
+    std::int32_t n = 0;
+    for (std::int32_t i = 0; i < c.chips_per_rack(); ++i) {
+      n += c.state(rack * c.chips_per_rack() + i) == ChipState::kFree ? 1 : 0;
+    }
+    return n;
+  };
+  // Racks by (free ascending, id ascending), then offsets row-major.
+  const auto brute_allocate = [&](const TpuCluster& c,
+                                  Shape s) -> std::optional<Placement> {
+    std::vector<std::pair<std::int32_t, RackId>> racks;
+    for (RackId r = 0; r < c.rack_count(); ++r) racks.emplace_back(free_chips(c, r), r);
+    std::sort(racks.begin(), racks.end());
+    for (const auto& [free, rack] : racks) {
+      for (const Coord o : offsets(c.config().rack_shape, s)) {
+        if (fits(c, rack, o, s)) return Placement{rack, o};
+      }
+    }
+    return std::nullopt;
+  };
+  // Largest volume, then lexicographically smallest extents.
+  const auto brute_largest = [&](const TpuCluster& c, RackId rack) {
+    const Shape rs = c.config().rack_shape;
+    Shape best{{0, 0, 0}};
+    for (std::int32_t sx = 1; sx <= rs[0]; ++sx) {
+      for (std::int32_t sy = 1; sy <= rs[1]; ++sy) {
+        for (std::int32_t sz = 1; sz <= rs[2]; ++sz) {
+          const Shape s{{sx, sy, sz}};
+          if (s.size() <= best.size()) continue;  // lexicographic order: first wins
+          for (const Coord o : offsets(rs, s)) {
+            if (fits(c, rack, o, s)) {
+              best = s;
+              break;
+            }
+          }
+        }
+      }
+    }
+    return best;
+  };
+
+  const std::vector<Shape> probes{Shape{{2, 2, 1}}, Shape{{4, 2, 1}}, Shape{{2, 4, 1}},
+                                  Shape{{1, 1, 1}}, Shape{{4, 4, 1}}, Shape{{2, 2, 2}},
+                                  Shape{{1, 3, 2}}, Shape{{4, 4, 4}}};
+  Rng rng{0xb207e};
+  std::size_t placed = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    ClusterConfig config;
+    config.racks = 4;
+    if (trial % 4 == 3) config.rack_shape = Shape{{3, 2, 4}};  // unequal extents
+    TpuCluster cluster{config};
+    SliceAllocator alloc{cluster};
+    // Per-rack free fractions from nearly empty to nearly full.
+    for (RackId r = 0; r < cluster.rack_count(); ++r) {
+      const double p_free = rng.uniform(0.2, 1.0);
+      for (std::int32_t i = 0; i < cluster.chips_per_rack(); ++i) {
+        if (rng.bernoulli(p_free)) continue;
+        cluster.set_state(r * cluster.chips_per_rack() + i,
+                          rng.bernoulli(0.5) ? ChipState::kAllocated : ChipState::kFailed);
+      }
+    }
+    for (RackId r = 0; r < cluster.rack_count(); ++r) {
+      ASSERT_EQ(alloc.largest_placeable(r), brute_largest(cluster, r))
+          << "trial " << trial << " rack " << r;
+    }
+    for (const Shape& s : probes) {
+      const std::optional<Placement> want = brute_allocate(cluster, s);
+      const auto got = alloc.allocate(s);
+      ASSERT_EQ(got.ok(), want.has_value()) << "trial " << trial << " shape " << s.extent[0]
+                                            << "x" << s.extent[1] << "x" << s.extent[2];
+      if (!got.ok()) continue;
+      ++placed;
+      const Slice* slice = alloc.slice(got.value());
+      EXPECT_EQ(slice->rack, want->rack) << "trial " << trial;
+      EXPECT_EQ(slice->offset, want->offset) << "trial " << trial;
+      alloc.release(got.value());
+    }
+  }
+  EXPECT_GT(placed, 500u);
 }
 
 TEST(Figure5, PackingMatchesPaper) {
