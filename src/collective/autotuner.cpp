@@ -256,6 +256,44 @@ Schedule Autotuner::build(CollOp op, Algorithm algo,
   return Schedule{};
 }
 
+std::vector<PhaseStep> all_reduce_phases(Algorithm algo, std::size_t m, DataSize n,
+                                         Duration reconfig) {
+  std::vector<PhaseStep> phases;
+  if (m < 2) return phases;
+  switch (algo) {
+    case Algorithm::kRing: {
+      // build_elastic_ring_schedule: 2(m-1) steps of n/m, the circuits set
+      // up once before the first.
+      const DataSize per_step = n / static_cast<double>(m);
+      phases.assign(2 * (m - 1), PhaseStep{Duration::zero(), per_step});
+      phases.front().pre_delay = reconfig;
+      break;
+    }
+    case Algorithm::kTree:
+      // Reduce then broadcast, ceil(log2 m) full-buffer phases each, every
+      // one on a fresh pair set.
+      phases.assign(2 * ceil_log2(m), PhaseStep{reconfig, n});
+      break;
+    case Algorithm::kHalvingDoubling: {
+      // Fold, halving (n/2 .. n/2^K), doubling (n/2^K .. n/2), unfold.
+      const std::uint32_t depth = floor_log2(m);
+      const bool fold = (std::size_t{1} << depth) < m;
+      if (fold) phases.push_back({reconfig, n});
+      for (std::uint32_t k = 1; k <= depth; ++k) {
+        phases.push_back({reconfig, n / static_cast<double>(std::size_t{1} << k)});
+      }
+      for (std::uint32_t k = depth; k >= 1; --k) {
+        phases.push_back({reconfig, n / static_cast<double>(std::size_t{1} << k)});
+      }
+      if (fold) phases.push_back({reconfig, n});
+      break;
+    }
+    default:
+      break;
+  }
+  return phases;
+}
+
 std::uint64_t Autotuner::hits() const {
   std::lock_guard<std::mutex> lock{mu_};
   return hits_;

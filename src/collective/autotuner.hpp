@@ -204,6 +204,24 @@ class Autotuner {
   std::uint64_t misses_{0};
 };
 
+/// One phase of a schedule as its cost sees it: every transfer in the phase
+/// moves `bytes` on its own dedicated circuit at the schedule's one rate, so
+/// the phase lasts pre_delay + transfer_time(bytes, rate) whichever chips
+/// the members are.
+struct PhaseStep {
+  Duration pre_delay{Duration::zero()};
+  DataSize bytes{DataSize::zero()};
+};
+
+/// The phases Autotuner::build(CollOp::kAllReduce, algo, members, n, rate,
+/// reconfig) emits for m = members.size(), in schedule order, built without
+/// a single Transfer: the cost definition the runtime charges per bucket.
+/// Defined for every candidates(CollOp::kAllReduce) algorithm (empty for
+/// any other, and for m < 2); the builders must agree with it phase for
+/// phase (PhaseWalk.FoldMatchesBuiltScheduleBitForBit).
+[[nodiscard]] std::vector<PhaseStep> all_reduce_phases(Algorithm algo, std::size_t m,
+                                                       DataSize n, Duration reconfig);
+
 /// The per-schedule software-overhead unit count: for each phase, the
 /// maximum number of transfers any single source posts (every source's
 /// sends in a phase are posted back-to-back; distinct sources overlap).

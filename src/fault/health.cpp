@@ -1,7 +1,6 @@
 #include "fault/health.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "lightpath/circuit.hpp"
@@ -16,11 +15,15 @@ HealthMonitor::HealthMonitor(HealthMonitorParams params) : params_{params} {}
 CircuitDiagnosis HealthMonitor::diagnose(const fabric::Fabric& fab,
                                          const FaultSet& faults,
                                          fabric::CircuitId id) const {
-  const fabric::Circuit* c = fab.circuit(id);
-  assert(c != nullptr);
-
   CircuitDiagnosis diag;
   diag.id = id;
+  const fabric::Circuit* c = fab.circuit(id);
+  if (c == nullptr) {
+    // No such circuit carries light: hard down, for the ladder to replace.
+    diag.health = CircuitHealth::kDown;
+    diag.hard_down = true;
+    return diag;
+  }
   diag.src_dead = faults.chip_dead(c->src);
   diag.dst_dead = faults.chip_dead(c->dst);
   diag.dead_lasers = faults.dead_lasers(c->src);

@@ -78,8 +78,8 @@ class HealthMonitor {
 
   [[nodiscard]] const HealthMonitorParams& params() const { return params_; }
 
-  /// Diagnoses one established circuit against the fault set.  `id` must
-  /// name an established circuit.
+  /// Diagnoses one established circuit against the fault set.  An id that
+  /// names no established circuit diagnoses as kDown with hard_down set.
   [[nodiscard]] CircuitDiagnosis diagnose(const fabric::Fabric& fab,
                                           const FaultSet& faults,
                                           fabric::CircuitId id) const;

@@ -1,7 +1,6 @@
 #include "lightpath/fabric.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 namespace lp::fabric {
@@ -241,7 +240,7 @@ Bandwidth Fabric::circuit_bandwidth(CircuitId id) const {
 
 phys::LinkBudgetReport Fabric::circuit_budget(CircuitId id) const {
   const Circuit* c = circuit(id);
-  assert(c != nullptr);
+  if (c == nullptr) return {};  // no circuit, no light: closes == false
   const phys::LinkBudget budget{config_.budget};
   return budget.evaluate(profile_of(*c, config_.wafer.tile));
 }

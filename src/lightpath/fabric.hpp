@@ -105,7 +105,8 @@ class Fabric {
   /// Capacity of an established circuit.
   [[nodiscard]] Bandwidth circuit_bandwidth(CircuitId id) const;
 
-  /// Physical-layer verdict for an established circuit.
+  /// Physical-layer verdict for an established circuit; an unknown id gets
+  /// a report that does not close.
   [[nodiscard]] phys::LinkBudgetReport circuit_budget(CircuitId id) const;
 
   /// Dimension-ordered route on one wafer: all column moves then row moves.

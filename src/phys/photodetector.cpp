@@ -1,12 +1,34 @@
 #include "phys/photodetector.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace lp::phys {
 
 namespace {
 constexpr double kElectronCharge = 1.602176634e-19;  // coulombs
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
+
+/// Everything the sensitivity bisection reads.
+struct SensitivityKey {
+  PhotodetectorParams params;
+  double target_ber{0.0};
+  LineCode code{LineCode::kPam4};
+  double baud_rate{0.0};
+
+  [[nodiscard]] bool operator==(const SensitivityKey& o) const {
+    return same_bits(params.responsivity_a_per_w, o.params.responsivity_a_per_w) &&
+           same_bits(params.thermal_noise_a_rthz, o.params.thermal_noise_a_rthz) &&
+           same_bits(params.dark_current_a, o.params.dark_current_a) &&
+           same_bits(target_ber, o.target_ber) && code == o.code &&
+           same_bits(baud_rate, o.baud_rate);
+  }
+};
+}  // namespace
 
 Photodetector::Photodetector(PhotodetectorParams params) : params_{params} {}
 
@@ -44,6 +66,18 @@ double Photodetector::bit_error_rate(Power received, LineCode code, double baud_
 }
 
 Power Photodetector::sensitivity(double target_ber, LineCode code, double baud_rate) const {
+  // The bisection is a pure function of its key and costs 80 erfc calls;
+  // every link-budget evaluation asks again with the same key, so each
+  // thread keeps its last answer.  Keys compare bit for bit.
+  struct Memo {
+    bool valid{false};
+    SensitivityKey key;
+    Power result;
+  };
+  thread_local Memo memo;
+  const SensitivityKey key{params_, target_ber, code, baud_rate};
+  if (memo.valid && memo.key == key) return memo.result;
+
   // BER decreases monotonically with power; bisect on dBm.
   double lo_dbm = -60.0;
   double hi_dbm = 20.0;
@@ -56,7 +90,8 @@ Power Photodetector::sensitivity(double target_ber, LineCode code, double baud_r
       hi_dbm = mid;
     }
   }
-  return Power::dbm(hi_dbm);
+  memo = Memo{true, key, Power::dbm(hi_dbm)};
+  return memo.result;
 }
 
 }  // namespace lp::phys

@@ -43,7 +43,9 @@ class Photodetector {
   /// Bit error rate at the given operating point.
   [[nodiscard]] double bit_error_rate(Power received, LineCode code, double baud_rate) const;
 
-  /// Minimum received power achieving `target_ber` (bisection search).
+  /// Minimum received power achieving `target_ber` (bisection search).  Each
+  /// thread remembers its last (params, target, code, baud) and answers a
+  /// repeat from that memo: the result is exactly what the bisection returns.
   [[nodiscard]] Power sensitivity(double target_ber, LineCode code, double baud_rate) const;
 
  private:

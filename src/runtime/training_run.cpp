@@ -18,36 +18,22 @@ fabric::FabricConfig run_fabric_config() {
   return config;
 }
 
-/// Sums the schedule into per-bucket collective durations.  Every phase
-/// runs its transfers simultaneously on dedicated circuits, so its length
-/// is the slowest transfer plus the phase's reconfiguration pre-delay.
-/// The ring circuits persist across buckets, so only the first bucket pays
-/// pre-delays (mirroring training_sim's static-split accounting).
-struct BucketCosts {
-  Duration first{Duration::zero()};
-  Duration steady{Duration::zero()};
-};
+}  // namespace
 
-BucketCosts schedule_bucket_costs(const coll::Schedule& schedule) {
+BucketCosts all_reduce_bucket_costs(coll::Algorithm algo, std::size_t m, DataSize n,
+                                    Bandwidth rate, Duration reconfig) {
   BucketCosts costs;
   bool leading = true;
-  for (const coll::Phase& phase : schedule.phases) {
-    Duration longest = Duration::zero();
-    for (const coll::Transfer& t : phase.transfers) {
-      longest = std::max(longest, transfer_time(t.bytes, t.dedicated_rate));
-    }
+  for (const coll::PhaseStep& phase : coll::all_reduce_phases(algo, m, n, reconfig)) {
+    // A phase moving 0 B at a zero rate (0/0) costs nothing, not NaN.
+    const Duration longest = std::max(Duration::zero(), transfer_time(phase.bytes, rate));
     costs.first += phase.pre_delay + longest;
     costs.steady += longest;
-    // Only the leading phase's pre-delay amortizes away across buckets (the
-    // ring circuits persist); mid-schedule reconfigurations — every phase of
-    // a tree or halving-doubling schedule — recur in steady state too.
     if (!leading) costs.steady += phase.pre_delay;
     leading = false;
   }
   return costs;
 }
-
-}  // namespace
 
 TrainingRun::TrainingRun(const RunConfig& config)
     : config_{config},
@@ -82,27 +68,30 @@ void TrainingRun::establish_ring() {
   }
 }
 
-void TrainingRun::rebuild_costs() {
-  Bandwidth rate;
-  Duration reconfig = Duration::zero();
+TrainingRun::BucketCollective TrainingRun::bucket_collective() const {
+  BucketCollective c;
   if (config_.policy == RunPolicy::kPhotonicRepair) {
     // The ring runs at its slowest edge (a 1-lambda elastic bridge drags
     // every step down — the price of staying alive).
-    rate = Bandwidth::zero();
+    c.rate = Bandwidth::zero();
     for (const fabric::CircuitId id : circuits_) {
       const Bandwidth b = fab_.circuit_bandwidth(id);
-      if (rate.is_zero() || b < rate) rate = b;
+      if (c.rate.is_zero() || b < c.rate) c.rate = b;
     }
-    reconfig = config_.cost.reconfig;
+    c.reconfig = config_.cost.reconfig;
   } else {
-    rate = config_.cost.chip_bandwidth / static_cast<double>(config_.cost.total_dims);
+    c.rate = config_.cost.chip_bandwidth / static_cast<double>(config_.cost.total_dims);
   }
   const std::uint32_t tiles = fab_.wafer(0).tile_count();
-  std::vector<topo::TpuId> ids;
-  ids.reserve(members_.size());
+  c.members.reserve(members_.size());
   for (const fabric::GlobalTile& m : members_) {
-    ids.push_back(static_cast<topo::TpuId>(m.wafer * tiles + m.tile));
+    c.members.push_back(static_cast<topo::TpuId>(m.wafer * tiles + m.tile));
   }
+  return c;
+}
+
+void TrainingRun::rebuild_costs() {
+  const BucketCollective c = bucket_collective();
   // The autotuner races ring vs tree vs halving-doubling for the bucket
   // AllReduce at the surviving topology's rate; at the default 64 MiB
   // buckets the ring wins (bandwidth-bound), while small-bucket configs and
@@ -110,14 +99,18 @@ void TrainingRun::rebuild_costs() {
   // (op, size bucket, member fingerprint, fabric epoch), so the post-fault
   // rebuild re-decides only when the topology actually changed.
   const coll::Decision pick =
-      tuner_.pick(coll::CollOp::kAllReduce, config_.iteration.bucket_bytes, ids,
-                  rate, reconfig, fab_.epoch());
+      tuner_.pick(coll::CollOp::kAllReduce, config_.iteration.bucket_bytes, c.members,
+                  c.rate, c.reconfig, fab_.epoch());
   bucket_algo_ = pick.algo;
-  schedule_ = tuner_.build(coll::CollOp::kAllReduce, pick.algo, ids,
-                           config_.iteration.bucket_bytes, rate, reconfig);
-  const BucketCosts costs = schedule_bucket_costs(schedule_);
-  first_bucket_comm_ = costs.first;
-  steady_bucket_comm_ = costs.steady;
+  bucket_costs_ = all_reduce_bucket_costs(pick.algo, c.members.size(),
+                                          config_.iteration.bucket_bytes, c.rate,
+                                          c.reconfig);
+}
+
+coll::Schedule TrainingRun::schedule() const {
+  const BucketCollective c = bucket_collective();
+  return tuner_.build(coll::CollOp::kAllReduce, bucket_algo_, c.members,
+                      config_.iteration.bucket_bytes, c.rate, c.reconfig);
 }
 
 std::vector<fabric::GlobalTile> TrainingRun::free_tiles() const {
@@ -341,7 +334,7 @@ RunReport TrainingRun::run() {
   // Healthy baseline under this policy's own interconnect: the goodput
   // denominator, so the metric isolates availability, not raw bandwidth.
   const auto healthy =
-      core::overlap_buckets(config_.iteration, first_bucket_comm_, steady_bucket_comm_);
+      core::overlap_buckets(config_.iteration, bucket_costs_.first, bucket_costs_.steady);
   report.ideal_time =
       healthy.report.iteration * static_cast<double>(config_.iterations);
 
@@ -380,8 +373,8 @@ RunReport TrainingRun::run() {
   std::uint32_t completed = 0;
 
   while (completed < config_.iterations && members_.size() >= 2) {
-    const auto timeline = core::overlap_buckets(config_.iteration, first_bucket_comm_,
-                                                steady_bucket_comm_);
+    const auto timeline = core::overlap_buckets(config_.iteration, bucket_costs_.first,
+                                                bucket_costs_.steady);
     const Duration iter_dur = timeline.report.iteration;
     const bool fault_pending = !scripted || script_idx < config_.script.size();
     const Duration t_fault =

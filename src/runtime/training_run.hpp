@@ -19,8 +19,8 @@
 //     Retune/reroute are pure stalls; respare replaces the dead member with
 //     a spare chip (state restore = rollback).  When the optical rungs are
 //     exhausted the run does NOT migrate: the ring shrinks elastically to
-//     the survivors (coll::build_elastic_ring_schedule) and continues at
-//     reduced bandwidth.
+//     the survivors, the bucket AllReduce is re-picked over them, and the
+//     run continues at reduced bandwidth.
 //   * kElectricalMigration — the [60] baseline: any fault that degrades a
 //     ring circuit rolls back to the checkpoint and migrates the job at
 //     rack granularity, paying migration_latency per event.
@@ -193,6 +193,25 @@ struct RunReport {
   }
 };
 
+/// Per-bucket collective durations of a bucket AllReduce.  Every phase runs
+/// its transfers simultaneously on dedicated circuits, so it lasts its
+/// pre-delay plus one transfer.  The ring circuits persist across buckets,
+/// so only the leading phase's pre-delay amortizes away after the first
+/// bucket (mirroring training_sim's static-split accounting); mid-schedule
+/// reconfigurations, every phase of a tree or halving-doubling schedule,
+/// recur in steady state too.
+struct BucketCosts {
+  Duration first{Duration::zero()};
+  Duration steady{Duration::zero()};
+};
+
+/// Folds coll::all_reduce_phases(algo, m, n, reconfig) at `rate`, phase by
+/// phase in schedule order: what a TrainingRun charges per bucket.  Equal,
+/// bit for bit, to the same fold over the built schedule's transfers.
+[[nodiscard]] BucketCosts all_reduce_bucket_costs(coll::Algorithm algo, std::size_t m,
+                                                  DataSize n, Bandwidth rate,
+                                                  Duration reconfig);
+
 /// One simulated training run.  Construct, run() once; the accessors expose
 /// the final world for tests (surviving ring, live schedule, fabric).
 class TrainingRun {
@@ -209,8 +228,10 @@ class TrainingRun {
   [[nodiscard]] const std::vector<fabric::CircuitId>& ring_circuits() const {
     return circuits_;
   }
-  /// The live collective schedule (rebuilt after every topology change).
-  [[nodiscard]] const coll::Schedule& schedule() const { return schedule_; }
+  /// The live bucket AllReduce schedule, built on demand over the surviving
+  /// members (the run itself charges all_reduce_bucket_costs and never
+  /// builds one).
+  [[nodiscard]] coll::Schedule schedule() const;
   /// Algorithm the autotuner picked for the live bucket AllReduce.
   [[nodiscard]] coll::Algorithm bucket_algorithm() const { return bucket_algo_; }
   /// The collective autotuner (decision cache keyed on the fabric epoch).
@@ -224,7 +245,15 @@ class TrainingRun {
     bool state_loss{false};
   };
 
+  /// The bucket AllReduce's inputs on the live ring.
+  struct BucketCollective {
+    std::vector<topo::TpuId> members;
+    Bandwidth rate;
+    Duration reconfig{Duration::zero()};
+  };
+
   void establish_ring();
+  [[nodiscard]] BucketCollective bucket_collective() const;
   void rebuild_costs();
   [[nodiscard]] std::vector<fabric::GlobalTile> free_tiles() const;
   EventOutcome recover_photonic(RunReport& report);
@@ -252,9 +281,7 @@ class TrainingRun {
   /// circuit rates degrade (the fabric epoch keys its decision cache).
   coll::Autotuner tuner_;
   coll::Algorithm bucket_algo_{coll::Algorithm::kRing};
-  coll::Schedule schedule_;
-  Duration first_bucket_comm_{Duration::zero()};
-  Duration steady_bucket_comm_{Duration::zero()};
+  BucketCosts bucket_costs_;
   /// Naive mode: dips observed per component, driving misclassification.
   std::map<std::uint64_t, std::uint32_t> dips_seen_;
 };

@@ -12,10 +12,13 @@
 //                         Plus bit-identical decisions at 1/2/8 threads.
 //   * TunerWiring.*     — the tuner actually steering runtime::TrainingRun
 //                         and serve::ServingSim.
+//   * PhaseWalk.*       — all_reduce_phases, the cost definition the runtime
+//                         charges per bucket, against the built schedules.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -27,6 +30,7 @@
 #include "serve/serving_sim.hpp"
 #include "sim/flow_sim.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace lp::coll {
 namespace {
@@ -424,6 +428,101 @@ TEST(TunerWiring, ServingSimRoutesExpertsAndKvThroughTuner) {
   const serve::ServingReport again = serve::run_serving(p);
   EXPECT_EQ(r.digest, again.digest);
   EXPECT_EQ(r.kv_striped, again.kv_striped);
+}
+
+// ---------------------------------------------------------------------------
+// Phase walk: TrainingRun charges runtime::all_reduce_bucket_costs, a fold
+// over all_reduce_phases; the builders must agree with it bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The bucket-cost fold over a built schedule's transfers: the reference
+/// the fold over the phase walk must reproduce without building one.
+runtime::BucketCosts schedule_bucket_costs(const Schedule& schedule) {
+  runtime::BucketCosts costs;
+  bool leading = true;
+  for (const Phase& phase : schedule.phases) {
+    Duration longest = Duration::zero();
+    for (const Transfer& t : phase.transfers) {
+      longest = std::max(longest, transfer_time(t.bytes, t.dedicated_rate));
+    }
+    costs.first += phase.pre_delay + longest;
+    costs.steady += longest;
+    if (!leading) costs.steady += phase.pre_delay;
+    leading = false;
+  }
+  return costs;
+}
+
+std::uint64_t bits(Duration d) { return std::bit_cast<std::uint64_t>(d.to_seconds()); }
+std::uint64_t bits(DataSize n) { return std::bit_cast<std::uint64_t>(n.to_bytes()); }
+
+/// `m` distinct chip ids drawn from a 4096-chip pod in shuffled order.
+std::vector<topo::TpuId> shuffled_group(std::size_t m, Rng& rng) {
+  std::vector<topo::TpuId> ids(4096);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<topo::TpuId>(i);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::swap(ids[i], ids[i + rng.uniform_index(ids.size() - i)]);
+  }
+  ids.resize(m);
+  return ids;
+}
+
+TEST(PhaseWalk, FoldMatchesBuiltScheduleBitForBit) {
+  const Autotuner tuner;
+  const Bandwidth lambda = Bandwidth::gbps(224.0);  // one wavelength's line rate
+  std::vector<std::size_t> sizes;
+  for (std::size_t m = 0; m <= 64; ++m) sizes.push_back(m);
+  for (std::size_t m = 127; m <= 129; ++m) sizes.push_back(m);
+  Rng rng{0x9a5e};
+  for (const Algorithm algo : Autotuner::candidates(CollOp::kAllReduce)) {
+    for (const std::size_t m : sizes) {
+      const std::vector<topo::TpuId> members = shuffled_group(m, rng);
+      for (const DataSize n :
+           {DataSize::bytes(0.0), DataSize::bytes(1.0), DataSize::kib(64.0),
+            DataSize::mib(64.0), DataSize::bytes(10e9), DataSize::bytes(1234567.0)}) {
+        for (const Duration reconfig : {Duration::zero(), Duration::micros(3.7)}) {
+          const std::vector<PhaseStep> walk = all_reduce_phases(algo, m, n, reconfig);
+          for (const Bandwidth rate : {lambda, lambda * 2.0, Bandwidth::zero()}) {
+            const Schedule built =
+                tuner.build(CollOp::kAllReduce, algo, members, n, rate, reconfig);
+            const std::string at =
+                std::string{to_string(algo)} + " m=" + std::to_string(m) +
+                " n=" + std::to_string(n.to_bytes()) + "B rate=" +
+                std::to_string(rate.to_gbps()) + "G reconfig=" +
+                std::to_string(reconfig.to_micros()) + "us";
+            ASSERT_EQ(walk.size(), built.phases.size()) << at;
+            for (std::size_t k = 0; k < walk.size(); ++k) {
+              const Phase& phase = built.phases[k];
+              ASSERT_EQ(bits(walk[k].pre_delay), bits(phase.pre_delay))
+                  << at << " phase " << k;
+              ASSERT_FALSE(phase.transfers.empty()) << at << " phase " << k;
+              const bool uniform = std::all_of(
+                  phase.transfers.begin(), phase.transfers.end(), [&](const Transfer& t) {
+                    return bits(t.bytes) == bits(walk[k].bytes) && t.dedicated_rate == rate;
+                  });
+              ASSERT_TRUE(uniform) << at << " phase " << k << ": a transfer off the walk";
+            }
+            const runtime::BucketCosts want = schedule_bucket_costs(built);
+            const runtime::BucketCosts got =
+                runtime::all_reduce_bucket_costs(algo, m, n, rate, reconfig);
+            ASSERT_EQ(bits(got.first), bits(want.first)) << at;
+            ASSERT_EQ(bits(got.steady), bits(want.steady)) << at;
+            if (m >= 2 && rate.is_zero() && n.to_bytes() > 0.0) {
+              EXPECT_EQ(got.steady, Duration::infinite()) << at;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PhaseWalk, IsEmptyOutsideTheAllReduceCandidates) {
+  for (const Algorithm algo : {Algorithm::kRotation, Algorithm::kPipeline,
+                               Algorithm::kDirect, Algorithm::kStriped}) {
+    EXPECT_TRUE(all_reduce_phases(algo, 8, DataSize::mib(1.0), Duration::zero()).empty())
+        << to_string(algo);
+  }
 }
 
 }  // namespace

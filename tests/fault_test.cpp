@@ -239,6 +239,24 @@ TEST(Health, NoFaultsMeansCleanScan) {
   EXPECT_TRUE(monitor.scan(fab, FaultSet{}).empty());
 }
 
+// A stale or never-placed circuit id (a ring edge whose connect failed is
+// stored as id 0) must diagnose as down, not dereference a missing circuit.
+TEST(Health, UnknownCircuitIsHardDown) {
+  Fabric fab = two_wafer_fabric();
+  const auto id = fab.connect({0, 0}, {0, 3}, 2);
+  ASSERT_TRUE(id.ok());
+  fab.disconnect(id.value());
+  const HealthMonitor monitor;
+  for (const fabric::CircuitId gone : {id.value(), fabric::CircuitId{9999}}) {
+    const CircuitDiagnosis diag = monitor.diagnose(fab, FaultSet{}, gone);
+    EXPECT_EQ(diag.id, gone);
+    EXPECT_EQ(diag.health, CircuitHealth::kDown) << gone;
+    EXPECT_TRUE(diag.hard_down) << gone;
+    EXPECT_FALSE(diag.budget.closes) << gone;
+    EXPECT_EQ(to_degraded(diag).id, gone);
+  }
+}
+
 TEST(Health, StuckMziOnThePathIsHardDown) {
   Fabric fab = two_wafer_fabric();
   const auto id = fab.connect({0, 0}, {0, 3}, 2);  // XY: east, east, east

@@ -274,6 +274,18 @@ TEST(Fabric, CircuitBudgetCloses) {
                              << report.pre_fec_ber;
 }
 
+TEST(Fabric, UnknownCircuitBudgetDoesNotClose) {
+  Fabric fab;
+  const auto id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
+  ASSERT_TRUE(id.ok());
+  fab.disconnect(id.value());
+  for (const CircuitId gone : {id.value(), CircuitId{9999}}) {
+    const phys::LinkBudgetReport report = fab.circuit_budget(gone);
+    EXPECT_FALSE(report.closes) << gone;
+    EXPECT_EQ(report.line_rate, Bandwidth::zero()) << gone;
+  }
+}
+
 TEST(Fabric, ReconfigAccountsBatches) {
   Fabric fab;
   const auto before = fab.reconfig().batches();

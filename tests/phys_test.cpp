@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "phys/link_budget.hpp"
@@ -9,6 +12,7 @@
 #include "phys/mzi.hpp"
 #include "phys/photodetector.hpp"
 #include "phys/wdm.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -148,6 +152,79 @@ TEST(Photodetector, Pam4NeedsMorePowerThanNrz) {
   const Power pam4 = pd.sensitivity(1e-4, LineCode::kPam4, 112e9);
   const Power nrz = pd.sensitivity(1e-4, LineCode::kNrz, 112e9);
   EXPECT_GT(pam4.to_dbm(), nrz.to_dbm());
+}
+
+// Photodetector::sensitivity answers a repeated key from a per-thread memo.
+// A fresh std::thread starts with an empty memo, so its first call always
+// runs the bisection: that is the reference every memoized answer must hit
+// bit for bit, whatever key the thread asked before.
+struct SensitivityKey {
+  PhotodetectorParams params;
+  LineCode code;
+  double target_ber;
+};
+
+std::uint64_t sensitivity_bits(const SensitivityKey& k) {
+  const Power p = Photodetector{k.params}.sensitivity(k.target_ber, k.code, 112e9);
+  return std::bit_cast<std::uint64_t>(p.to_milliwatts());
+}
+
+std::vector<SensitivityKey> sensitivity_keys() {
+  PhotodetectorParams noisy;
+  noisy.responsivity_a_per_w = 0.7;
+  noisy.thermal_noise_a_rthz = 30e-12;
+  std::vector<SensitivityKey> keys;
+  for (const PhotodetectorParams& params : {PhotodetectorParams{}, noisy}) {
+    for (const LineCode code : {LineCode::kPam4, LineCode::kNrz}) {
+      for (const double target : {2.4e-4, 1e-12}) keys.push_back({params, code, target});
+    }
+  }
+  return keys;
+}
+
+std::vector<std::uint64_t> fresh_thread_answers(const std::vector<SensitivityKey>& keys) {
+  std::vector<std::uint64_t> fresh(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::thread t{[&, i] { fresh[i] = sensitivity_bits(keys[i]); }};
+    t.join();
+  }
+  return fresh;
+}
+
+TEST(SensitivityMemo, InterleavedKeysMatchAFreshThread) {
+  const std::vector<SensitivityKey> keys = sensitivity_keys();
+  const std::vector<std::uint64_t> fresh = fresh_thread_answers(keys);
+  // Keys differing in one field have different answers, so a memo that
+  // ignored that field would be seen below.
+  for (std::size_t a = 0; a < keys.size(); ++a) {
+    for (std::size_t b = a + 1; b < keys.size(); ++b) {
+      ASSERT_NE(fresh[a], fresh[b]) << "keys " << a << " and " << b;
+    }
+  }
+  // Every ordered pair, each key asked twice in a row and then after the
+  // other: hits and misses alike must return the bisection's answer.
+  for (std::size_t a = 0; a < keys.size(); ++a) {
+    for (std::size_t b = 0; b < keys.size(); ++b) {
+      EXPECT_EQ(sensitivity_bits(keys[a]), fresh[a]) << a;
+      EXPECT_EQ(sensitivity_bits(keys[a]), fresh[a]) << a << " repeated";
+      EXPECT_EQ(sensitivity_bits(keys[b]), fresh[b]) << b << " after " << a;
+    }
+  }
+}
+
+TEST(SensitivityMemo, PoolWorkersMatchAFreshThread) {
+  const std::vector<SensitivityKey> keys = sensitivity_keys();
+  const std::vector<std::uint64_t> fresh = fresh_thread_answers(keys);
+  util::ThreadPool pool{4};
+  std::vector<std::uint64_t> got(64 * keys.size());
+  // Task i asks key (i * 5) mod |keys|: each worker sees the keys in a
+  // scrambled interleaving, and several workers share every key.
+  util::parallel_for(
+      got.size(),
+      [&](std::size_t i) { got[i] = sensitivity_bits(keys[i * 5 % keys.size()]); }, &pool);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], fresh[i * 5 % keys.size()]) << "task " << i;
+  }
 }
 
 TEST(Photodetector, QofZeroPowerIsTiny) {

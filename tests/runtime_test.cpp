@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -326,6 +327,139 @@ TEST(TrainingRun, MidCollectiveDeathWithoutSparesShrinksElastically) {
   }
   const auto& members = run.ring_members();
   EXPECT_EQ(std::count(members.begin(), members.end(), GlobalTile{0, 0}), 0);
+}
+
+// Pinned accounting: small runs whose reports fold every RunReport field.
+// The digests were recorded from an implementation that built every bucket
+// schedule, so they pin the accounting independently of the phase walk.
+// Each run names the path it must take, so a config cannot silently drift
+// off the bucket algorithm, shrink or controller it was chosen to pin.
+struct PinnedRun {
+  const char* name;
+  RunConfig config;
+  std::uint64_t digest;
+  bool (*covers)(const TrainingRun&, const RunReport&);
+};
+
+std::uint64_t report_digest(const RunReport& r) {
+  std::uint64_t h = 0;
+  const auto mix = [&](std::uint64_t v) { h = fabric::hash_mix(h, v); };
+  const auto mix_time = [&](Duration d) {
+    mix(std::bit_cast<std::uint64_t>(d.to_seconds()));
+  };
+  mix(static_cast<std::uint64_t>(r.policy));
+  for (const std::uint64_t v :
+       {std::uint64_t{r.iterations_completed}, std::uint64_t{r.ring_size_initial},
+        std::uint64_t{r.ring_size_final}, r.fault_events, r.faults_injected,
+        r.mid_collective_faults, r.detections, r.rollbacks, r.elastic_shrinks,
+        r.migrations}) {
+    mix(v);
+  }
+  for (const std::uint64_t v : r.recovered_by) mix(v);
+  mix_time(r.lost.redo);
+  mix_time(r.lost.detection);
+  mix_time(r.lost.recovery);
+  for (const std::uint64_t v :
+       {r.flap_episodes, r.flap_transitions, r.flap_repairs, r.suppressed_repairs,
+        r.quarantines, r.probations, r.relapses, r.misclassifications,
+        r.transient_repair_failures, r.ber_bursts}) {
+    mix(v);
+  }
+  mix_time(r.flap_stall);
+  mix_time(r.ber_slowdown);
+  mix_time(r.ideal_time);
+  mix_time(r.wall_clock);
+  for (const double s : r.recover_seconds) mix(std::bit_cast<std::uint64_t>(s));
+  return h;
+}
+
+bool odd_non_power_of_two(std::uint32_t m) { return m % 2 == 1 && !std::has_single_bit(m); }
+
+std::vector<PinnedRun> pinned_training_runs() {
+  using Run = const TrainingRun&;
+  using R = const RunReport&;
+  std::vector<PinnedRun> runs;
+  const auto add = [&](const char* name, const RunConfig& c, std::uint64_t digest,
+                       bool (*covers)(Run, R)) {
+    runs.push_back(PinnedRun{name, c, digest, covers});
+  };
+  RunConfig faults;
+  faults.iterations = 40;
+  faults.mtbf_hours = 0.02;
+  RunConfig small_buckets = faults;
+  small_buckets.iteration.bucket_bytes = DataSize::kib(64.0);
+  RunConfig no_spares = faults;
+  no_spares.ring_tiles_per_wafer = 32;
+  // Three scripted chip deaths, the first inside bucket 0's collective.
+  // With no spare pool each one shrinks the ring: 64 -> 61 members.
+  no_spares.script = {
+      {no_spares.iteration.compute_per_bucket,
+       {{.kind = fault::FaultKind::kChipDeath, .tile = {0, 0}}}},
+      {Duration::seconds(1.0), {{.kind = fault::FaultKind::kChipDeath, .tile = {1, 9}}}},
+      {Duration::seconds(2.0), {{.kind = fault::FaultKind::kChipDeath, .tile = {0, 17}}}}};
+  RunConfig flaps;  // lpbench's train_gray controller at 400 flaps/chip-hour
+  flaps.iterations = 60;
+  flaps.mtbf_hours = 1e9;
+  flaps.flap_rate_per_hour = 400.0;
+  flaps.recovery.rung_backoff.base = Duration::micros(50.0);
+  flaps.recovery.rung_backoff.jitter_fraction = 0.5;
+
+  add("ring/faults", faults, 0x8f8bb695280d4a25, [](Run run, R r) {
+    return run.bucket_algorithm() == coll::Algorithm::kRing && r.detections > 0;
+  });
+  add("halving-doubling/faults", small_buckets, 0x5e34bc471755222d, [](Run run, R r) {
+    return run.bucket_algorithm() == coll::Algorithm::kHalvingDoubling && r.detections > 0;
+  });
+  add("ring/elastic-odd", no_spares, 0x136829cb42ae7710, [](Run run, R r) {
+    return run.bucket_algorithm() == coll::Algorithm::kRing && r.elastic_shrinks > 0 &&
+           odd_non_power_of_two(r.ring_size_final);
+  });
+  {
+    RunConfig c = no_spares;
+    c.iteration.bucket_bytes = DataSize::kib(64.0);
+    add("halving-doubling/elastic-odd", c, 0x786c334b4a9e9ef2, [](Run run, R r) {
+      return run.bucket_algorithm() == coll::Algorithm::kHalvingDoubling &&
+             r.elastic_shrinks > 0 && odd_non_power_of_two(r.ring_size_final);
+    });
+  }
+  {
+    RunConfig c = faults;
+    c.policy = RunPolicy::kElectricalMigration;
+    add("electrical/faults", c, 0x8be05fcb040d5df9,
+        [](Run, R r) { return r.migrations > 0; });
+  }
+  add("gray/hysteresis", flaps, 0x21eb0b11f9fde370,
+      [](Run, R r) { return r.quarantines > 0 && r.suppressed_repairs > 0; });
+  {
+    RunConfig c = flaps;
+    c.gray_hysteresis = false;
+    add("gray/naive", c, 0x404572720b5f7dd0,
+        [](Run, R r) { return r.misclassifications > 0; });
+  }
+  {
+    // The naive controller misclassifying flappers with no spare to take
+    // their place: every misclassification shrinks a halving-doubling ring.
+    RunConfig c = flaps;
+    c.gray_hysteresis = false;
+    c.ring_tiles_per_wafer = 32;
+    c.iteration.bucket_bytes = DataSize::kib(64.0);
+    add("gray/naive-halving-doubling-shrink", c, 0x28f093e04deef220, [](Run run, R r) {
+      return run.bucket_algorithm() == coll::Algorithm::kHalvingDoubling &&
+             r.misclassifications > 0 && r.elastic_shrinks > 0;
+    });
+  }
+  return runs;
+}
+
+TEST(TrainingRunDigests, AccountingMatchesPinnedValues) {
+  for (const PinnedRun& pinned : pinned_training_runs()) {
+    TrainingRun run{pinned.config};
+    const RunReport r = run.run();
+    EXPECT_EQ(report_digest(r), pinned.digest)
+        << pinned.name << ": digest " << std::hex << report_digest(r) << std::dec;
+    EXPECT_EQ(r.iterations_completed, pinned.config.iterations) << pinned.name;
+    EXPECT_TRUE(pinned.covers(run, r)) << pinned.name << ": off its cost path";
+  }
 }
 
 TEST(TrainingRun, PhotonicRecoveryBeatsElectricalMigration) {
