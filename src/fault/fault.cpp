@@ -101,7 +101,7 @@ void FaultSet::apply_to(fabric::Fabric& fab, Decibel quarantine_threshold) {
     if (const auto n = fab.wafer(w).neighbor(t, d)) {
       quarantine_edge(fab, w, *n, opposite(d));
     }
-    auto& mzi = fab.wafer(w).tile(t).mzi(d);
+    auto& mzi = fab.wafer(w).mzi(t, d);
     mzi_restore_.push_back(
         MziRestore{GlobalTile{w, t}, d, mzi.params().tau, mzi.target_port()});
     mzi.program(port, TimePoint{});
@@ -111,7 +111,7 @@ void FaultSet::apply_to(fabric::Fabric& fab, Decibel quarantine_threshold) {
   for (const auto& [key, sev] : drift_) {
     const auto& [w, t, d8] = key;
     const auto d = static_cast<Direction>(d8);
-    auto& mzi = fab.wafer(w).tile(t).mzi(d);
+    auto& mzi = fab.wafer(w).mzi(t, d);
     mzi_restore_.push_back(
         MziRestore{GlobalTile{w, t}, d, mzi.params().tau, mzi.target_port()});
     mzi.set_tau(mzi.params().tau * sev.second);
@@ -128,11 +128,11 @@ void FaultSet::apply_to(fabric::Fabric& fab, Decibel quarantine_threshold) {
   // Dead chips cannot terminate circuits; park their remaining endpoint
   // wavelengths so planners pick other tiles.
   for (const auto& [w, t] : dead_chips_) {
-    auto& tile = fab.wafer(w).tile(t);
-    const std::uint32_t txf = tile.tx_free();
-    const std::uint32_t rxf = tile.rx_free();
-    if (txf > 0) tile.reserve_tx(txf);
-    if (rxf > 0) tile.reserve_rx(rxf);
+    fabric::Wafer& wafer = fab.wafer(w);
+    const std::uint32_t txf = wafer.tile(t).tx_free();
+    const std::uint32_t rxf = wafer.tile(t).rx_free();
+    if (txf > 0) wafer.reserve_tx(t, txf);
+    if (rxf > 0) wafer.reserve_rx(t, rxf);
     if (txf > 0 || rxf > 0) {
       reserved_endpoints_.push_back(ReservedEndpoint{GlobalTile{w, t}, txf, rxf});
     }
@@ -142,10 +142,9 @@ void FaultSet::apply_to(fabric::Fabric& fab, Decibel quarantine_threshold) {
   // see RepairRung::kRetune).
   for (const auto& [key, k] : lasers_) {
     const auto& [w, t] = key;
-    auto& tile = fab.wafer(w).tile(t);
-    const std::uint32_t take = std::min(k, tile.tx_free());
+    const std::uint32_t take = std::min(k, fab.wafer(w).tile(t).tx_free());
     if (take == 0) continue;
-    tile.reserve_tx(take);
+    fab.wafer(w).reserve_tx(t, take);
     reserved_endpoints_.push_back(ReservedEndpoint{GlobalTile{w, t}, take, 0});
   }
 
@@ -161,12 +160,12 @@ void FaultSet::revert(fabric::Fabric& fab) {
     fab.wafer(it->wafer).release_lanes(it->tile, it->dir, it->lanes);
   }
   for (auto it = reserved_endpoints_.rbegin(); it != reserved_endpoints_.rend(); ++it) {
-    auto& tile = fab.wafer(it->tile.wafer).tile(it->tile.tile);
-    if (it->tx > 0) tile.release_tx(it->tx);
-    if (it->rx > 0) tile.release_rx(it->rx);
+    fabric::Wafer& wafer = fab.wafer(it->tile.wafer);
+    if (it->tx > 0) wafer.release_tx(it->tile.tile, it->tx);
+    if (it->rx > 0) wafer.release_rx(it->tile.tile, it->rx);
   }
   for (auto it = mzi_restore_.rbegin(); it != mzi_restore_.rend(); ++it) {
-    auto& mzi = fab.wafer(it->tile.wafer).tile(it->tile.tile).mzi(it->dir);
+    auto& mzi = fab.wafer(it->tile.wafer).mzi(it->tile.tile, it->dir);
     mzi.set_tau(it->tau);
     mzi.program(it->target, TimePoint{});
   }

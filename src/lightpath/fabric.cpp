@@ -34,6 +34,17 @@ std::uint64_t Fabric::ledger_digest() const {
   return h;
 }
 
+std::uint64_t Fabric::ledger_key() const {
+  // A chain of bijections: for a fixed prefix, every next value gives a
+  // distinct key, so wafer and link positions are part of the key.
+  std::uint64_t h = 0;
+  for (const Wafer& w : wafers_) h = splitmix64(h ^ w.ledger_key());
+  for (const FiberLink& link : fiber_links_) {
+    h = splitmix64(h ^ (std::uint64_t{link.used} << 1 | (link.down ? 1u : 0u)));
+  }
+  return h;
+}
+
 Bandwidth Fabric::per_wavelength_rate() const {
   return phys::Modulator{config_.modulator}.line_rate();
 }
@@ -65,16 +76,16 @@ Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wave
 Result<CircuitId> Fabric::connect_same_wafer(GlobalTile a, GlobalTile b,
                                              std::uint32_t wavelengths) {
   Wafer& w = wafers_[a.wafer];
-  if (!w.tile(a.tile).reserve_tx(wavelengths))
+  if (!w.reserve_tx(a.tile, wavelengths))
     return Err("tile " + std::to_string(a.tile) + ": not enough free Tx wavelengths");
-  if (!w.tile(b.tile).reserve_rx(wavelengths)) {
-    w.tile(a.tile).release_tx(wavelengths);
+  if (!w.reserve_rx(b.tile, wavelengths)) {
+    w.release_tx(a.tile, wavelengths);
     return Err("tile " + std::to_string(b.tile) + ": not enough free Rx wavelengths");
   }
   auto hops = xy_route(w, a.tile, b.tile);
   if (auto reserved = w.reserve_path(a.tile, hops, wavelengths); !reserved) {
-    w.tile(a.tile).release_tx(wavelengths);
-    w.tile(b.tile).release_rx(wavelengths);
+    w.release_tx(a.tile, wavelengths);
+    w.release_rx(b.tile, wavelengths);
     return Err("lane reservation failed: " + reserved.error().message);
   }
 
@@ -93,6 +104,7 @@ Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
   if (wavelengths == 0) return Err("zero wavelengths requested");
   if (a.wafer != b.wafer) return Err("connect_via requires a same-wafer path");
   if (a.wafer >= wafers_.size()) return Err("wafer id out of range");
+  if (a == b) return Err("source and destination tile are the same");
   Wafer& w = wafers_[a.wafer];
   // Validate the path endpoint.
   TileId at = a.tile;
@@ -103,15 +115,15 @@ Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
   }
   if (at != b.tile) return Err("path does not end at the destination tile");
 
-  if (!w.tile(a.tile).reserve_tx(wavelengths))
+  if (!w.reserve_tx(a.tile, wavelengths))
     return Err("tile " + std::to_string(a.tile) + ": not enough free Tx wavelengths");
-  if (!w.tile(b.tile).reserve_rx(wavelengths)) {
-    w.tile(a.tile).release_tx(wavelengths);
+  if (!w.reserve_rx(b.tile, wavelengths)) {
+    w.release_tx(a.tile, wavelengths);
     return Err("tile " + std::to_string(b.tile) + ": not enough free Rx wavelengths");
   }
   if (auto reserved = w.reserve_path(a.tile, hops, wavelengths); !reserved) {
-    w.tile(a.tile).release_tx(wavelengths);
-    w.tile(b.tile).release_rx(wavelengths);
+    w.release_tx(a.tile, wavelengths);
+    w.release_rx(b.tile, wavelengths);
     return Err("lane reservation failed: " + reserved.error().message);
   }
 
@@ -150,24 +162,24 @@ Result<CircuitId> Fabric::connect_cross_wafer(GlobalTile a, GlobalTile b,
 
   Wafer& wa = wafers_[a.wafer];
   Wafer& wb = wafers_[b.wafer];
-  if (!wa.tile(a.tile).reserve_tx(wavelengths))
+  if (!wa.reserve_tx(a.tile, wavelengths))
     return Err("source tile: not enough free Tx wavelengths");
-  if (!wb.tile(b.tile).reserve_rx(wavelengths)) {
-    wa.tile(a.tile).release_tx(wavelengths);
+  if (!wb.reserve_rx(b.tile, wavelengths)) {
+    wa.release_tx(a.tile, wavelengths);
     return Err("destination tile: not enough free Rx wavelengths");
   }
 
   auto hops_a = xy_route(wa, a.tile, exit.tile);
   auto hops_b = xy_route(wb, entry.tile, b.tile);
   if (auto r = wa.reserve_path(a.tile, hops_a, wavelengths); !r) {
-    wa.tile(a.tile).release_tx(wavelengths);
-    wb.tile(b.tile).release_rx(wavelengths);
+    wa.release_tx(a.tile, wavelengths);
+    wb.release_rx(b.tile, wavelengths);
     return Err("source wafer lanes: " + r.error().message);
   }
   if (auto r = wb.reserve_path(entry.tile, hops_b, wavelengths); !r) {
     wa.release_path(a.tile, hops_a, wavelengths);
-    wa.tile(a.tile).release_tx(wavelengths);
-    wb.tile(b.tile).release_rx(wavelengths);
+    wa.release_tx(a.tile, wavelengths);
+    wb.release_rx(b.tile, wavelengths);
     return Err("destination wafer lanes: " + r.error().message);
   }
   link.used += wavelengths;
@@ -201,8 +213,8 @@ void Fabric::disconnect(CircuitId id) {
   for (const auto& seg : c.segments) {
     wafers_[seg.wafer].release_path(seg.from, seg.hops, c.wavelengths);
   }
-  wafers_[c.src.wafer].tile(c.src.tile).release_tx(c.wavelengths);
-  wafers_[c.dst.wafer].tile(c.dst.tile).release_rx(c.wavelengths);
+  wafers_[c.src.wafer].release_tx(c.src.tile, c.wavelengths);
+  wafers_[c.dst.wafer].release_rx(c.dst.tile, c.wavelengths);
   if (const auto fit = circuit_fiber_.find(id); fit != circuit_fiber_.end()) {
     FiberLink& link = fiber_links_[fit->second];
     link.used -= std::min(link.used, c.wavelengths);

@@ -85,7 +85,8 @@ class Fabric {
   Result<CircuitId> connect(GlobalTile a, GlobalTile b, std::uint32_t wavelengths);
 
   /// Like connect(), but along an explicit same-wafer hop path (produced by
-  /// an external router).  The path must lead from a.tile to b.tile.
+  /// an external router).  The path must lead from a.tile to b.tile, and
+  /// the two tiles must differ, as for connect().
   Result<CircuitId> connect_via(GlobalTile a, GlobalTile b,
                                 std::vector<Direction> hops, std::uint32_t wavelengths);
 
@@ -125,9 +126,17 @@ class Fabric {
 
   /// Order-sensitive hash of the complete resource ledger: every wafer's
   /// edge/tile occupancy plus every fiber link's usage and up/down state.
-  /// Deterministic planning is a pure function of this state, so digest
-  /// equality is sufficient for a memoized plan to replay exactly.
+  /// O(tiles) per call.  Serve and cluster fold it into their report
+  /// digests, so its value is fixed; the plan cache uses ledger_key().
   [[nodiscard]] std::uint64_t ledger_digest() const;
+
+  /// Key of the same state for revalidation: each wafer's maintained
+  /// Wafer::ledger_key() chained with every fiber link's (used, down), so
+  /// O(wafers + links) per call.  Deterministic planning is a pure function
+  /// of this state, so key equality is sufficient for a memoized plan to
+  /// replay exactly (barring a 2^-64 collision), whatever writes came
+  /// between.
+  [[nodiscard]] std::uint64_t ledger_key() const;
 
  private:
   struct FiberChoice {

@@ -59,10 +59,25 @@ struct GlobalTile {
 };
 
 /// One step of a running 64-bit hash (boost-style combine with a splitmix
-/// constant).  Backs the resource-ledger digests the plan cache revalidates
-/// against; order-sensitive, not cryptographic.
+/// constant).  Backs the resource-ledger digests that reports fold in;
+/// order-sensitive, not cryptographic.
 [[nodiscard]] constexpr std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// splitmix64: a bijective, full-avalanche mix of one 64-bit value.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// One ledger slot's share of an order-free ledger key (Wafer::ledger_key):
+/// a splitmix64 hash of (slot, value), and 0 for an empty slot, so an
+/// unused ledger keys to 0 without hashing anything.  Requires slot < 2^32.
+[[nodiscard]] constexpr std::uint64_t ledger_term(std::uint64_t slot, std::uint32_t value) {
+  return value == 0 ? 0 : splitmix64(slot << 32 | value);
 }
 
 }  // namespace lp::fabric

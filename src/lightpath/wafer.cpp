@@ -9,8 +9,19 @@ namespace lp::fabric {
 Wafer::Wafer(WaferParams params)
     : params_{params},
       tiles_(static_cast<std::size_t>(params.rows * params.cols), Tile{params.tile}),
-      edge_used_(static_cast<std::size_t>(params.rows * params.cols) * 4, 0) {
+      edges_(static_cast<std::size_t>(params.rows * params.cols) * 4) {
   assert(params.rows > 0 && params.cols > 0);
+  // Neighbour table, filled by row and column so construction divides nothing.
+  const auto cols = static_cast<TileId>(params.cols);
+  TileId t = 0;
+  for (std::int32_t row = 0; row < params.rows; ++row) {
+    for (std::int32_t col = 0; col < params.cols; ++col, ++t) {
+      if (row > 0) edges_[edge_index(t, Direction::kNorth)].next = t - cols;
+      if (col + 1 < params.cols) edges_[edge_index(t, Direction::kEast)].next = t + 1;
+      if (row + 1 < params.rows) edges_[edge_index(t, Direction::kSouth)].next = t + cols;
+      if (col > 0) edges_[edge_index(t, Direction::kWest)].next = t - 1;
+    }
+  }
 }
 
 TileId Wafer::tile_at(TileCoord c) const {
@@ -27,41 +38,49 @@ bool Wafer::contains(TileCoord c) const {
   return c.row >= 0 && c.row < params_.rows && c.col >= 0 && c.col < params_.cols;
 }
 
-std::optional<TileId> Wafer::neighbor(TileId t, Direction d) const {
-  TileCoord c = coord_of(t);
-  switch (d) {
-    case Direction::kNorth: --c.row; break;
-    case Direction::kSouth: ++c.row; break;
-    case Direction::kEast: ++c.col; break;
-    case Direction::kWest: --c.col; break;
-  }
-  if (!contains(c)) return std::nullopt;
-  return tile_at(c);
+bool Wafer::reserve_tx(TileId t, std::uint32_t n) {
+  const std::uint32_t before = tiles_[t].tx_used();
+  if (!tiles_[t].reserve_tx(n)) return false;
+  rekey(tx_slot(t), before, tiles_[t].tx_used());
+  return true;
 }
 
-std::uint32_t Wafer::lanes_free(TileId t, Direction d) const {
-  if (!neighbor(t, d)) return 0;
-  return params_.lanes_per_edge - edge_used_[edge_index(t, d)];
+bool Wafer::reserve_rx(TileId t, std::uint32_t n) {
+  const std::uint32_t before = tiles_[t].rx_used();
+  if (!tiles_[t].reserve_rx(n)) return false;
+  rekey(rx_slot(t), before, tiles_[t].rx_used());
+  return true;
+}
+
+void Wafer::release_tx(TileId t, std::uint32_t n) {
+  const std::uint32_t before = tiles_[t].tx_used();
+  tiles_[t].release_tx(n);
+  rekey(tx_slot(t), before, tiles_[t].tx_used());
+}
+
+void Wafer::release_rx(TileId t, std::uint32_t n) {
+  const std::uint32_t before = tiles_[t].rx_used();
+  tiles_[t].release_rx(n);
+  rekey(rx_slot(t), before, tiles_[t].rx_used());
 }
 
 bool Wafer::reserve_lanes(TileId t, Direction d, std::uint32_t n) {
   if (lanes_free(t, d) < n) return false;
-  edge_used_[edge_index(t, d)] += n;
+  take_lanes(edge_index(t, d), n);
   return true;
 }
 
 void Wafer::release_lanes(TileId t, Direction d, std::uint32_t n) {
-  auto& used = edge_used_[edge_index(t, d)];
-  used -= std::min(n, used);
+  drop_lanes(edge_index(t, d), n);
 }
 
 bool Wafer::path_has_capacity(TileId from, std::span<const Direction> path,
                               std::uint32_t n) const {
   TileId at = from;
   for (Direction d : path) {
-    const auto next = neighbor(at, d);
-    if (!next || lanes_free(at, d) < n) return false;
-    at = *next;
+    const Edge& e = edges_[edge_index(at, d)];
+    if (!fits(e, n)) return false;
+    at = e.next;
   }
   return true;
 }
@@ -70,14 +89,15 @@ Result<std::monostate> Wafer::reserve_path(TileId from, std::span<const Directio
                                            std::uint32_t n) {
   TileId at = from;
   for (std::size_t i = 0; i < path.size(); ++i) {
-    const auto next = neighbor(at, path[i]);
-    if (!next || !reserve_lanes(at, path[i], n)) {
+    const std::size_t e = edge_index(at, path[i]);
+    if (!fits(edges_[e], n)) {
       // Roll back hops already taken.
-      release_path(from, path.subspan(0, i), n);
+      release_path(from, path.first(i), n);
       return Err("no capacity at hop " + std::to_string(i) + " (tile " +
                  std::to_string(at) + " dir " + to_string(path[i]) + ")");
     }
-    at = *next;
+    take_lanes(e, n);
+    at = edges_[e].next;
   }
   return std::monostate{};
 }
@@ -85,10 +105,10 @@ Result<std::monostate> Wafer::reserve_path(TileId from, std::span<const Directio
 void Wafer::release_path(TileId from, std::span<const Direction> path, std::uint32_t n) {
   TileId at = from;
   for (Direction d : path) {
-    const auto next = neighbor(at, d);
-    if (!next) return;  // malformed path; release what we can
-    release_lanes(at, d, n);
-    at = *next;
+    const std::size_t e = edge_index(at, d);
+    if (edges_[e].next == kOffWafer) return;  // malformed path; release what we can
+    drop_lanes(e, n);
+    at = edges_[e].next;
   }
 }
 
@@ -107,11 +127,12 @@ std::vector<TileId> Wafer::tiles_on_path(TileId from,
 }
 
 std::uint64_t Wafer::total_lanes_used() const {
-  return std::accumulate(edge_used_.begin(), edge_used_.end(), std::uint64_t{0});
+  return std::accumulate(edges_.begin(), edges_.end(), std::uint64_t{0},
+                         [](std::uint64_t sum, const Edge& e) { return sum + e.used; });
 }
 
 std::uint64_t Wafer::ledger_digest(std::uint64_t h) const {
-  for (std::uint32_t used : edge_used_) h = hash_mix(h, used);
+  for (const Edge& e : edges_) h = hash_mix(h, e.used);
   for (const Tile& t : tiles_) {
     h = hash_mix(h, t.tx_used());
     h = hash_mix(h, t.rx_used());

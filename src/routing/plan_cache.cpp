@@ -6,14 +6,6 @@ namespace lp::routing {
 
 namespace {
 
-/// splitmix64 finalizer: full-avalanche mix of one 64-bit value.
-[[nodiscard]] std::uint64_t finalize(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 [[nodiscard]] std::uint64_t demand_hash(const Demand& d) {
   std::uint64_t h = 0;
   h = fabric::hash_mix(h, d.src.wafer);
@@ -21,7 +13,7 @@ namespace {
   h = fabric::hash_mix(h, d.dst.wafer);
   h = fabric::hash_mix(h, d.dst.tile);
   h = fabric::hash_mix(h, d.wavelengths);
-  return finalize(h);
+  return fabric::splitmix64(h);
 }
 
 }  // namespace
@@ -63,7 +55,7 @@ bool PlanCache::path_quarantined(fabric::GlobalTile src,
 PlanReport PlanCache::place_all(const std::vector<Demand>& demands) {
   const std::uint64_t fp = demand_fingerprint(demands);
   const std::uint64_t epoch = fabric_.epoch();
-  const std::uint64_t digest = fabric_.ledger_digest();
+  const std::uint64_t key = fabric_.ledger_key();
   std::vector<Demand> ordered = plan_order(fabric_, demands);
 
   if (const auto it = entries_.find(fp); it != entries_.end()) {
@@ -76,7 +68,7 @@ PlanReport PlanCache::place_all(const std::vector<Demand>& demands) {
     entry_count_ -= pruned;
     for (Entry& entry : it->second) {
       if (entry.ordered != ordered) continue;  // fingerprint collision
-      if (entry.digest != digest) {
+      if (entry.ledger_key != key) {
         ++stats_.digest_mismatches;
         continue;
       }
@@ -103,7 +95,7 @@ PlanReport PlanCache::place_all(const std::vector<Demand>& demands) {
 
   ++stats_.misses;
   PlanReport report = planner_.place_all(demands);
-  remember(fp, epoch, digest, std::move(ordered), report);
+  remember(fp, epoch, key, std::move(ordered), report);
   return report;
 }
 
@@ -117,7 +109,7 @@ std::optional<PlanReport> PlanCache::try_replay(Entry& entry) {
             : fabric_.connect_via(step.demand.src, step.demand.dst, step.hops,
                                   step.demand.wavelengths);
     if (!placed) {
-      // Digest equality should make this unreachable; if it ever trips,
+      // Ledger-key equality should make this unreachable; if it ever trips,
       // roll back to the pre-call ledger and fall through to fresh planning.
       for (const auto& done : report.placed) fabric_.disconnect(done.id);
       return std::nullopt;
@@ -132,11 +124,11 @@ std::optional<PlanReport> PlanCache::try_replay(Entry& entry) {
 }
 
 void PlanCache::remember(std::uint64_t fingerprint, std::uint64_t epoch,
-                         std::uint64_t digest, std::vector<Demand> ordered,
+                         std::uint64_t ledger_key, std::vector<Demand> ordered,
                          const PlanReport& report) {
   Entry entry;
   entry.epoch = epoch;
-  entry.digest = digest;
+  entry.ledger_key = ledger_key;
   entry.ordered = std::move(ordered);
   entry.failed = report.failed;
   entry.placed.reserve(report.placed.size());
@@ -181,14 +173,13 @@ void PlanCache::evict_if_needed() {
 
 std::optional<std::vector<fabric::Direction>> PlanCache::route_for(const Demand& demand) {
   if (demand.src.wafer != demand.dst.wafer) return std::nullopt;
-  const std::uint64_t key = demand_hash(demand);
   const std::uint64_t epoch = fabric_.epoch();
-  const std::uint64_t digest = fabric_.ledger_digest();
+  const std::uint64_t key = fabric_.ledger_key();
 
-  auto& vec = routes_[key];
+  auto& vec = routes_[demand_hash(demand)];
   std::erase_if(vec, [&](const RouteEntry& e) { return e.epoch != epoch; });
   for (RouteEntry& e : vec) {
-    if (e.demand == demand && e.digest == digest) {
+    if (e.demand == demand && e.ledger_key == key) {
       // Revalidate against the current quarantine view.  A rejected memo is
       // NOT replaced: it is still the correct route for this ledger state
       // and becomes usable again the moment the quarantine lifts.
@@ -215,7 +206,7 @@ std::optional<std::vector<fabric::Direction>> PlanCache::route_for(const Demand&
   }
   RouteEntry e;
   e.epoch = epoch;
-  e.digest = digest;
+  e.ledger_key = key;
   e.demand = demand;
   e.hops = hops;
   e.last_use = ++use_clock_;

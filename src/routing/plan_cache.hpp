@@ -14,8 +14,11 @@
 // A memoized plan is replayed only when ALL of
 //   1. the fabric epoch matches (no fault apply/revert, repair rung,
 //      spare swap, or fiber up/down since the plan was recorded),
-//   2. the full ledger digest matches (identical lane/Tx/Rx/fiber
-//      occupancy — revalidate-on-use), and
+//   2. Fabric::ledger_key() matches (identical lane/Tx/Rx/fiber occupancy —
+//      revalidate-on-use).  The key is maintained on every ledger write and
+//      is a function of the state, not of the writes that led to it, so a
+//      connect-then-disconnect in between still hits; checking it costs
+//      O(wafers + links), not a re-fold of the whole ledger, and
 //   3. the plan-ordered demand vector compares equal (never trust the
 //      fingerprint hash alone),
 // hold — under which replay is provably identical to fresh planning.
@@ -41,9 +44,10 @@ struct PlanCacheStats {
   /// Lookups rejected because the entry was recorded under an older epoch.
   std::uint64_t epoch_invalidations{0};
   /// Lookups rejected by revalidate-on-use: epoch matched but the ledger
-  /// digest did not (e.g. a foreign reservation moved lanes).
+  /// (compared by Fabric::ledger_key) did not (e.g. a foreign reservation
+  /// moved lanes).
   std::uint64_t digest_mismatches{0};
-  /// Replays that aborted mid-way (should be zero: digest equality makes
+  /// Replays that aborted mid-way (should be zero: an equal ledger makes
   /// every connect succeed; counted for defense in depth).
   std::uint64_t replay_aborts{0};
   std::uint64_t evictions{0};
@@ -76,7 +80,7 @@ class PlanCache {
   /// Memoized single-demand route for the repair ladder: same-wafer hop
   /// sequence find_route would produce right now, or nullopt if no route
   /// (or the demand is cross-wafer, which has no hop-path to memoize).
-  /// Validated by the same epoch+digest rule as full plans.
+  /// Validated by the same epoch + ledger-key rule as full plans.
   [[nodiscard]] std::optional<std::vector<fabric::Direction>> route_for(
       const Demand& demand);
 
@@ -110,7 +114,7 @@ class PlanCache {
   };
   struct Entry {
     std::uint64_t epoch{0};
-    std::uint64_t digest{0};
+    std::uint64_t ledger_key{0};
     std::vector<Demand> ordered;  ///< plan_order of the recorded demand set
     std::vector<Step> placed;     ///< in commit order
     std::vector<Demand> failed;   ///< in plan order
@@ -118,7 +122,7 @@ class PlanCache {
   };
   struct RouteEntry {
     std::uint64_t epoch{0};
-    std::uint64_t digest{0};
+    std::uint64_t ledger_key{0};
     Demand demand{};
     std::optional<std::vector<fabric::Direction>> hops;
     std::uint64_t last_use{0};
@@ -129,7 +133,7 @@ class PlanCache {
   /// exit port of each tile left and the entry port of each tile reached).
   [[nodiscard]] bool path_quarantined(fabric::GlobalTile src,
                                       const std::vector<fabric::Direction>& hops) const;
-  void remember(std::uint64_t fingerprint, std::uint64_t epoch, std::uint64_t digest,
+  void remember(std::uint64_t fingerprint, std::uint64_t epoch, std::uint64_t ledger_key,
                 std::vector<Demand> ordered, const PlanReport& report);
   void evict_if_needed();
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "lightpath/circuit.hpp"
 #include "lightpath/fabric.hpp"
 #include "lightpath/reconfig.hpp"
@@ -55,6 +57,35 @@ TEST(Wafer, NeighborsRespectBoundary) {
   EXPECT_EQ(*wafer.neighbor(corner, Direction::kEast), wafer.tile_at(TileCoord{0, 1}));
   ASSERT_TRUE(wafer.neighbor(corner, Direction::kSouth).has_value());
   EXPECT_EQ(*wafer.neighbor(corner, Direction::kSouth), wafer.tile_at(TileCoord{1, 0}));
+}
+
+TEST(Wafer, NeighborTableMatchesCoordinates) {
+  // neighbor() reads a table filled at construction; every entry must agree
+  // with stepping the tile's coordinates, on thin and square wafers alike.
+  const std::pair<std::int32_t, std::int32_t> shapes[] = {
+      {1, 12}, {12, 1}, {4, 8}, {16, 16}, {32, 32}};
+  for (const auto& [rows, cols] : shapes) {
+    WaferParams params;
+    params.rows = rows;
+    params.cols = cols;
+    const Wafer wafer{params};
+    for (TileId t = 0; t < wafer.tile_count(); ++t) {
+      for (Direction d : kAllDirections) {
+        TileCoord c = wafer.coord_of(t);
+        c.row += d == Direction::kSouth ? 1 : d == Direction::kNorth ? -1 : 0;
+        c.col += d == Direction::kEast ? 1 : d == Direction::kWest ? -1 : 0;
+        const auto next = wafer.neighbor(t, d);
+        ASSERT_EQ(next.has_value(), wafer.contains(c))
+            << rows << "x" << cols << " tile " << t << " dir " << to_string(d);
+        if (next) {
+          EXPECT_EQ(*next, wafer.tile_at(c))
+              << rows << "x" << cols << " tile " << t << " dir " << to_string(d);
+        } else {
+          EXPECT_EQ(wafer.lanes_free(t, d), 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(Wafer, OppositeDirections) {
@@ -263,6 +294,21 @@ TEST(Fabric, ConnectViaValidatesPath) {
       {Direction::kSouth, Direction::kEast}, 2);
   ASSERT_TRUE(id.ok()) << id.error().message;
   EXPECT_EQ(fab.circuit(id.value())->turn_count(), 1u);
+}
+
+TEST(Fabric, ConnectViaRejectsSameTile) {
+  Fabric fab;
+  const std::uint64_t digest = fab.ledger_digest();
+  const std::uint64_t key = fab.ledger_key();
+  const auto self = fab.connect_via(GlobalTile{0, 5}, GlobalTile{0, 5}, {}, 3);
+  ASSERT_FALSE(self.ok());
+  EXPECT_EQ(self.error().message,
+            fab.connect(GlobalTile{0, 5}, GlobalTile{0, 5}, 3).error().message);
+  EXPECT_EQ(fab.active_circuits(), 0u);
+  EXPECT_EQ(fab.wafer(0).tile(5).tx_used(), 0u);
+  EXPECT_EQ(fab.wafer(0).tile(5).rx_used(), 0u);
+  EXPECT_EQ(fab.ledger_digest(), digest);
+  EXPECT_EQ(fab.ledger_key(), key);
 }
 
 TEST(Fabric, CircuitBudgetCloses) {

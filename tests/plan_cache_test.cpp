@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -452,6 +453,123 @@ TEST(PlanCacheQuarantine, PlaceAllFallsThroughForQuarantinedPaths) {
   EXPECT_EQ(fab.epoch(), epoch_before);
   EXPECT_GE(cache.stats().quarantine_rejections, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+// --- Pinned decisions ------------------------------------------------------
+//
+// One scripted sequence through every decision the cache makes: a churn of
+// recurring demand sets, a fault apply/revert, foreign reservations that
+// move the ledger without an epoch bump, and route_for retries under a
+// quarantine view.  The counters after each phase were recorded from the
+// build that revalidated by re-folding the full ledger digest on every
+// lookup; whatever revalidation uses must make exactly the same hit/miss
+// decisions.
+
+using DecisionCounts = std::array<std::uint64_t, 7>;
+
+DecisionCounts decisions(const PlanCacheStats& s) {
+  return {s.hits,       s.misses,       s.epoch_invalidations, s.digest_mismatches,
+          s.route_hits, s.route_misses, s.quarantine_rejections};
+}
+
+TEST(PlanCacheDecisions, ScriptedSequenceMatchesPinnedCounters) {
+  Fabric fab = make_fabric();
+  PlanCache cache{fab};
+  Rng rng{0x5eedc0deULL};
+  const std::uint32_t tiles = fab.wafer(0).tile_count();
+
+  std::vector<std::vector<Demand>> sets;
+  for (int i = 0; i < 5; ++i) sets.push_back(random_demand_set(rng, 6, tiles, 2));
+
+  // Churn: recurring sets, with zero to two older sets still live.
+  std::vector<PlanReport> live;
+  for (int round = 0; round < 40; ++round) {
+    live.push_back(cache.place_all(sets[rng.uniform_index(sets.size())]));
+    const std::size_t keep = rng.uniform_index(3);
+    while (live.size() > keep) {
+      cache.release_all(live.front());
+      live.erase(live.begin());
+    }
+  }
+  EXPECT_EQ(decisions(cache.stats()), (DecisionCounts{16, 24, 0, 72, 0, 0, 0}))
+      << "after churn";
+
+  // Fault apply/revert: each bumps the epoch, so every set misses once and
+  // then replays against the faulted (or restored) ledger.
+  fault::FaultSet faults;
+  fault::Fault stuck;
+  stuck.kind = fault::FaultKind::kMziStuck;
+  stuck.tile = GlobalTile{0, 10};
+  stuck.direction = Direction::kEast;
+  faults.add(stuck);
+  fault::Fault lasers;
+  lasers.kind = fault::FaultKind::kLaserLoss;
+  lasers.tile = GlobalTile{0, 3};
+  lasers.dead_lasers = 5;
+  faults.add(lasers);
+  fault::Fault death;
+  death.kind = fault::FaultKind::kChipDeath;
+  death.tile = GlobalTile{1, 12};
+  faults.add(death);
+  const auto place_every_set_twice = [&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& set : sets) cache.release_all(cache.place_all(set));
+    }
+  };
+  faults.apply_to(fab);
+  place_every_set_twice();
+  faults.revert(fab);
+  place_every_set_twice();
+  EXPECT_EQ(decisions(cache.stats()), (DecisionCounts{26, 34, 29, 72, 0, 0, 0}))
+      << "after fault apply/revert";
+
+  // Foreign reservations: lanes taken directly and a circuit set up behind
+  // the cache's back.  Neither bumps the epoch; both must fail
+  // revalidation, and undoing them must make the old entries replay.
+  ASSERT_TRUE(fab.wafer(0).reserve_lanes(9, Direction::kSouth, 5));
+  const auto foreign = fab.connect({1, 3}, {0, 20}, 2);
+  ASSERT_TRUE(foreign.ok());
+  for (const auto& set : sets) cache.release_all(cache.place_all(set));
+  fab.disconnect(foreign.value());
+  fab.wafer(0).release_lanes(9, Direction::kSouth, 5);
+  for (const auto& set : sets) cache.release_all(cache.place_all(set));
+  EXPECT_EQ(decisions(cache.stats()), (DecisionCounts{31, 39, 29, 77, 0, 0, 0}))
+      << "after foreign reservations";
+
+  // route_for retries under a quarantine view, the way a naive controller
+  // retries: set up the route it returns, tear it down again (restoring the
+  // ledger), ask again.  A foreign reservation in the middle of a retry
+  // round must force fresh searches; lifting the quarantine must not.
+  const std::vector<Demand> repairs{{{0, 8}, {0, 12}, 1},  {{0, 9}, {0, 27}, 2},
+                                    {{0, 0}, {0, 31}, 1},  {{0, 11}, {0, 10}, 1},
+                                    {{1, 4}, {1, 20}, 3},  {{0, 2}, {1, 2}, 1}};
+  cache.set_quarantine([](GlobalTile t, Direction d) {
+    return t.wafer == 0 && ((t.tile == 10 && d == Direction::kEast) ||
+                            (t.tile == 17 && d == Direction::kNorth));
+  });
+  for (int retry = 0; retry < 4; ++retry) {
+    if (retry == 2) {
+      ASSERT_TRUE(fab.wafer(0).reserve_lanes(16, Direction::kEast, 7));
+    }
+    for (const Demand& d : repairs) {
+      const auto hops = cache.route_for(d);
+      if (!hops) continue;
+      const auto id = fab.connect_via(d.src, d.dst, *hops, d.wavelengths);
+      ASSERT_TRUE(id.ok());
+      fab.disconnect(id.value());
+    }
+    if (retry == 2) fab.wafer(0).release_lanes(16, Direction::kEast, 7);
+  }
+  cache.set_quarantine(nullptr);
+  for (const Demand& d : repairs) static_cast<void>(cache.route_for(d));
+  EXPECT_EQ(decisions(cache.stats()), (DecisionCounts{31, 39, 29, 77, 6, 19, 12}))
+      << "after route_for retries";
+
+  while (!live.empty()) {
+    cache.release_all(live.back());
+    live.pop_back();
+  }
+  EXPECT_EQ(cache.stats().replay_aborts, 0u);
 }
 
 }  // namespace

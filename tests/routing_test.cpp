@@ -116,6 +116,20 @@ TEST(Planner, ReportsFailuresWithoutAbandoningRest) {
   planner.release_all(report);
 }
 
+TEST(Planner, SameTileDemandFailsAndLeavesTheLedger) {
+  Fabric fab;
+  CircuitPlanner planner{fab};
+  const std::uint64_t digest = fab.ledger_digest();
+  const Demand self{GlobalTile{0, 6}, GlobalTile{0, 6}, 3};
+  const auto report = planner.place_all({self});
+  EXPECT_TRUE(report.placed.empty());
+  ASSERT_EQ(report.failed.size(), 1u);
+  EXPECT_EQ(report.failed.front(), self);
+  EXPECT_EQ(report.mzis_programmed, 0u);
+  EXPECT_EQ(fab.active_circuits(), 0u);
+  EXPECT_EQ(fab.ledger_digest(), digest);
+}
+
 TEST(Planner, LaneScarcityTriggersDetours) {
   FabricConfig config;
   config.wafer.lanes_per_edge = 4;
