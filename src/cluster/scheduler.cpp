@@ -137,16 +137,11 @@ bool ClusterScheduler::place_contiguous(Job& job) {
   if (!placed) return false;
   job.slice = placed.value();
   job.morphed = false;
-  job.chips.clear();
-  const topo::Slice* s = alloc_.slice(job.slice);
-  for (const topo::Coord c : s->coords()) {
-    job.chips.push_back(cluster_.chip_at(s->rack, c));
-  }
-  std::sort(job.chips.begin(), job.chips.end());
+  job.chips = alloc_.chips(job.slice);  // ascending
   for (const topo::TpuId c : job.chips) {
     chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
   }
-  mark_rack_dirty(s->rack);
+  mark_rack_dirty(alloc_.slice(job.slice)->rack);
   ++report_.placed_contiguous;
   return true;
 }
@@ -154,45 +149,40 @@ bool ClusterScheduler::place_contiguous(Job& job) {
 std::vector<ClusterScheduler::Fragment> ClusterScheduler::harvest(
     std::int32_t volume) {
   // Racks in (free descending, rack ascending) order: the fewest fragments
-  // cover the volume, and ties resolve identically on every run.  The order
-  // is fixed before any chip is taken, since taking one changes the counts.
-  std::vector<topo::RackId> order;
-  for (topo::RackId r = 0; r < cluster_.rack_count(); ++r) {
-    if (cluster_.free_in_rack(r) > 0) order.push_back(r);
-  }
-  std::sort(order.begin(), order.end(), [this](topo::RackId a, topo::RackId b) {
-    const std::int32_t fa = cluster_.free_in_rack(a);
-    const std::int32_t fb = cluster_.free_in_rack(b);
-    if (fa != fb) return fa > fb;
-    return a < b;
-  });
-  std::vector<Fragment> out;
+  // cover the volume, and ties resolve identically on every run.  A dry run
+  // picks the chips and takes them only once they cover the volume, so a
+  // failed harvest changes no chip.  It asks chip_usable() about exactly the
+  // chips that taking them one by one would visit: the flap damper rescales
+  // a chip's score on every query, so one query more or less can move a
+  // digest.
+  picks_.clear();
   std::int32_t remaining = volume;
-  for (const topo::RackId rack : order) {
-    if (remaining <= 0) break;
-    if (out.size() >= params_.max_fragments) break;
-    Fragment f;
-    f.rack = rack;
-    const std::int32_t per = cluster_.chips_per_rack();
-    for (std::int32_t i = 0; i < per && remaining > 0; ++i) {
-      const topo::TpuId chip = rack * per + i;
-      if (cluster_.state(chip) != topo::ChipState::kFree) continue;
+  std::uint32_t fragments = 0;
+  cluster_.racks_by_free_descending([&](topo::RackId rack) {
+    if (remaining <= 0 || fragments >= params_.max_fragments) return true;
+    const std::size_t before = picks_.size();
+    cluster_.for_each_free_chip(rack, [&](topo::TpuId chip) {
       if (!chip_usable(chip)) {
         ++report_.morph_deferrals;
-        continue;
+        return false;
       }
-      cluster_.set_state(chip, topo::ChipState::kAllocated);
-      f.chips.push_back(chip);
-      --remaining;
-    }
-    if (!f.chips.empty()) {
+      picks_.push_back(chip);
+      return --remaining == 0;
+    });
+    if (picks_.size() > before) ++fragments;
+    return false;
+  });
+  std::vector<Fragment> out;
+  if (remaining > 0) return out;
+  // Take the picks; consecutive picks from one rack form its fragment.
+  for (const topo::TpuId chip : picks_) {
+    const topo::RackId rack = cluster_.rack_of(chip);
+    if (out.empty() || out.back().rack != rack) {
+      out.push_back(Fragment{rack, {}});
       mark_rack_dirty(rack);
-      out.push_back(std::move(f));
     }
-  }
-  if (remaining > 0) {
-    unharvest(out);
-    out.clear();
+    out.back().chips.push_back(chip);
+    cluster_.set_state(chip, topo::ChipState::kAllocated);
   }
   return out;
 }
@@ -480,24 +470,18 @@ bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
   // One free chip of the same rack per dead chip, ascending chip id; all or
   // nothing.
   std::vector<topo::TpuId> spares;
-  std::set<topo::TpuId> taken;
   for (const topo::TpuId d : dead) {
-    const topo::RackId rack = cluster_.rack_of(d);
-    const std::int32_t per = cluster_.chips_per_rack();
     topo::TpuId found = -1;
-    for (std::int32_t i = 0; i < per; ++i) {
-      const topo::TpuId chip = rack * per + i;
-      if (cluster_.state(chip) != topo::ChipState::kFree) continue;
-      if (taken.count(chip) > 0) continue;
+    cluster_.for_each_free_chip(cluster_.rack_of(d), [&](topo::TpuId chip) {
+      if (std::find(spares.begin(), spares.end(), chip) != spares.end()) return false;
       if (!chip_usable(chip)) {
         ++report_.morph_deferrals;
-        continue;
+        return false;
       }
       found = chip;
-      break;
-    }
+      return true;
+    });
     if (found < 0) return false;
-    taken.insert(found);
     spares.push_back(found);
   }
   // Commit: the slice (if any) becomes a chip set; survivors and spares

@@ -45,8 +45,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/admission.hpp"
@@ -393,9 +393,12 @@ class ClusterScheduler {
   Rng gray_victims_;
   fault::FlapDamper damper_;
 
-  std::map<std::uint64_t, Job> jobs_;  ///< ordered: deterministic iteration
+  /// Live jobs by id.  Nothing iterates it, so its order cannot reach a
+  /// report.
+  std::unordered_map<std::uint64_t, Job> jobs_;
   AdmissionQueue queue_;
   std::vector<std::int64_t> chip_owner_;  ///< -1 = none
+  std::vector<topo::TpuId> picks_;        ///< harvest's dry-run picks
   std::uint64_t next_job_id_{0};
   std::uint32_t running_{0};
 

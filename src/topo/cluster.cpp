@@ -1,8 +1,30 @@
 #include "topo/cluster.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace lp::topo {
+
+namespace {
+
+constexpr std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
+
+constexpr void set_bit(std::uint64_t* words, std::size_t i) {
+  words[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+constexpr void clear_bit(std::uint64_t* words, std::size_t i) {
+  words[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+}
+
+// Sets bits 0..n-1 of a zeroed bitset, a word at a time.
+constexpr void set_first(std::uint64_t* words, std::size_t n) {
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    words[w] = n - w * 64 >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (n - w * 64)) - 1;
+  }
+}
+
+}  // namespace
 
 TpuCluster::TpuCluster(ClusterConfig config)
     : config_{config},
@@ -11,8 +33,48 @@ TpuCluster::TpuCluster(ClusterConfig config)
                   static_cast<std::size_t>(config.rack_shape.size()),
               ChipState::kFree),
       rack_free_(static_cast<std::size_t>(config.racks), config.rack_shape.size()),
-      free_count_{config.racks * config.rack_shape.size()} {
+      free_count_{config.racks * config.rack_shape.size()},
+      mask_words_{words_for(static_cast<std::size_t>(config.rack_shape.size()))},
+      rack_words_{words_for(static_cast<std::size_t>(config.racks))},
+      count_words_{words_for(static_cast<std::size_t>(config.rack_shape.size()) + 1)},
+      buckets_at_{static_cast<std::size_t>(config.racks) * mask_words_},
+      counts_at_{buckets_at_ +
+                 (static_cast<std::size_t>(config.rack_shape.size()) + 1) * rack_words_},
+      bits_(counts_at_ + count_words_, 0) {
   assert(config.racks > 0);
+  // Every chip starts free: full masks, and every rack in the top bucket.
+  const auto per = static_cast<std::size_t>(chips_per_rack());
+  const auto racks = static_cast<std::size_t>(config.racks);
+  for (std::size_t r = 0; r < racks; ++r) set_first(&bits_[r * mask_words_], per);
+  set_first(&bits_[buckets_at_ + per * rack_words_], racks);
+  set_bit(&bits_[counts_at_], per);
+}
+
+void TpuCluster::flip_free(TpuId chip, bool to_free) {
+  const RackId rack = rack_of(chip);
+  const auto r = static_cast<std::size_t>(rack);
+  const auto i = static_cast<std::size_t>(chip - rack * chips_per_rack());
+  std::uint64_t* mask = &bits_[r * mask_words_];
+  if (to_free) {
+    set_bit(mask, i);
+  } else {
+    clear_bit(mask, i);
+  }
+  const auto from = static_cast<std::size_t>(rack_free_[r]);
+  const std::size_t to = to_free ? from + 1 : from - 1;
+  // Move the rack between count buckets, keeping free_counts() exact.
+  std::uint64_t* old_bucket = &bits_[buckets_at_ + from * rack_words_];
+  clear_bit(old_bucket, r);
+  if (std::all_of(old_bucket, old_bucket + rack_words_,
+                  [](std::uint64_t w) { return w == 0; })) {
+    clear_bit(&bits_[counts_at_], from);
+  }
+  set_bit(&bits_[buckets_at_ + to * rack_words_], r);
+  set_bit(&bits_[counts_at_], to);
+  const std::int32_t delta = to_free ? 1 : -1;
+  rack_free_[r] += delta;
+  free_count_ += delta;
+  if (to_free) ++free_epoch_;
 }
 
 std::int32_t TpuCluster::servers_per_rack() const {
@@ -60,10 +122,11 @@ std::vector<TpuId> TpuCluster::chips_in_state(ChipState s) const {
 
 std::vector<TpuId> TpuCluster::free_chips_in_rack(RackId rack) const {
   std::vector<TpuId> out;
-  for (std::int32_t i = 0; i < chips_per_rack(); ++i) {
-    const TpuId chip = rack * chips_per_rack() + i;
-    if (state(chip) == ChipState::kFree) out.push_back(chip);
-  }
+  out.reserve(static_cast<std::size_t>(free_in_rack(rack)));
+  for_each_free_chip(rack, [&](TpuId chip) {
+    out.push_back(chip);
+    return false;
+  });
   return out;
 }
 

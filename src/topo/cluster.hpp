@@ -14,8 +14,11 @@
 // link (chip, dim, sign) has capacity B/3.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "topo/torus.hpp"
@@ -79,15 +82,13 @@ class TpuCluster {
   [[nodiscard]] std::vector<TpuId> server_chips(TpuId chip) const;
 
   [[nodiscard]] ChipState state(TpuId chip) const { return states_[static_cast<std::size_t>(chip)]; }
-  /// The only writer of chip state; keeps the free counts below current.
+  /// The only writer of chip state.  Keeps the free counts, the per-rack
+  /// free masks, the free-count rack index and free_epoch() current.
   void set_state(TpuId chip, ChipState s) {
     ChipState& cur = states_[static_cast<std::size_t>(chip)];
-    if ((cur == ChipState::kFree) != (s == ChipState::kFree)) {
-      const std::int32_t delta = s == ChipState::kFree ? 1 : -1;
-      rack_free_[static_cast<std::size_t>(rack_of(chip))] += delta;
-      free_count_ += delta;
-    }
+    const bool was_free = cur == ChipState::kFree;
     cur = s;
+    if (was_free != (s == ChipState::kFree)) flip_free(chip, !was_free);
   }
 
   /// Number of kFree chips in `rack`, O(1).
@@ -96,6 +97,68 @@ class TpuCluster {
   }
   /// Number of kFree chips in the cluster, O(1).
   [[nodiscard]] std::int32_t free_count() const { return free_count_; }
+
+  /// The kFree chips of `rack` as a bitset over rack-torus indices: bit i
+  /// of word i / 64 is chip rack * chips_per_rack() + i.  The mask has
+  /// ⌈chips_per_rack / 64⌉ words; bits past chips_per_rack() are 0.
+  [[nodiscard]] std::span<const std::uint64_t> free_mask(RackId rack) const {
+    return {bits_.data() + static_cast<std::size_t>(rack) * mask_words_, mask_words_};
+  }
+
+  /// Bumped on every transition into kFree.  While it stays put the free
+  /// set can only shrink, so a placement that failed still fails.
+  [[nodiscard]] std::uint64_t free_epoch() const { return free_epoch_; }
+
+  /// The free-count index the rack walks below read.  racks_with_free(n)
+  /// is the racks with exactly n kFree chips, as a bitset over rack ids
+  /// (⌈racks / 64⌉ words); free_counts() is the counts in 0..chips_per_rack()
+  /// that some rack has, as a bitset.
+  [[nodiscard]] std::span<const std::uint64_t> racks_with_free(std::int32_t n) const {
+    return {bits_.data() + buckets_at_ + static_cast<std::size_t>(n) * rack_words_,
+            rack_words_};
+  }
+  [[nodiscard]] std::span<const std::uint64_t> free_counts() const {
+    return {bits_.data() + counts_at_, count_words_};
+  }
+
+  /// Visits the racks holding at least `min_free` kFree chips in (free
+  /// ascending, rack ascending) order until `visit(rack)` returns true, and
+  /// returns whether it did.  Reads the free-count index; sorts nothing.
+  /// `visit` may change chip state only in the call that returns true.
+  template <typename Visit>
+  bool racks_by_free_ascending(std::int32_t min_free, Visit&& visit) const {
+    return for_each_bit(free_counts(), static_cast<std::size_t>(std::max(min_free, 0)),
+                        [&](std::size_t free) { return visit_bucket(free, visit); });
+  }
+
+  /// Visits the racks holding a kFree chip in (free descending, rack
+  /// ascending) order until `visit(rack)` returns true, and returns whether
+  /// it did.  `visit` must not change chip state.
+  template <typename Visit>
+  bool racks_by_free_descending(Visit&& visit) const {
+    const std::span<const std::uint64_t> c = free_counts();
+    for (std::size_t w = c.size(); w-- > 0;) {
+      for (std::uint64_t bits = c[w]; bits != 0;) {
+        const auto top = static_cast<std::size_t>(63 - std::countl_zero(bits));
+        bits &= ~(std::uint64_t{1} << top);
+        const std::size_t free = w * 64 + top;
+        if (free == 0) return false;
+        if (visit_bucket(free, visit)) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Visits the kFree chips of `rack` in ascending id order until
+  /// `visit(chip)` returns true, and returns whether it did.  `visit` must
+  /// not change chip state.
+  template <typename Visit>
+  bool for_each_free_chip(RackId rack, Visit&& visit) const {
+    const TpuId base = rack * chips_per_rack();
+    return for_each_bit(free_mask(rack), 0, [&](std::size_t i) {
+      return visit(base + static_cast<TpuId>(i));
+    });
+  }
 
   [[nodiscard]] std::vector<TpuId> chips_in_state(ChipState s) const;
   [[nodiscard]] std::vector<TpuId> free_chips_in_rack(RackId rack) const;
@@ -120,11 +183,45 @@ class TpuCluster {
   }
 
  private:
+  /// Calls visit(i) for the set bits i >= first of a bitset, ascending,
+  /// until it returns true; returns whether it did.
+  template <typename Visit>
+  static bool for_each_bit(std::span<const std::uint64_t> words, std::size_t first,
+                           Visit&& visit) {
+    for (std::size_t w = first / 64; w < words.size(); ++w) {
+      std::uint64_t bits = words[w];
+      if (w == first / 64) bits &= ~std::uint64_t{0} << (first % 64);
+      for (; bits != 0; bits &= bits - 1) {
+        if (visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)))) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Visits the racks with exactly `free` kFree chips, ascending.
+  template <typename Visit>
+  bool visit_bucket(std::size_t free, Visit& visit) const {
+    return for_each_bit(racks_with_free(static_cast<std::int32_t>(free)), 0,
+                        [&](std::size_t rack) { return visit(static_cast<RackId>(rack)); });
+  }
+
+  /// One chip of `chip`'s rack joined (`to_free`) or left the free set.
+  void flip_free(TpuId chip, bool to_free);
+
   ClusterConfig config_;
   Torus rack_torus_;
   std::vector<ChipState> states_;
   std::vector<std::int32_t> rack_free_;  ///< kFree chips per rack
   std::int32_t free_count_{0};
+  std::uint64_t free_epoch_{0};
+  std::size_t mask_words_;   ///< ⌈chips_per_rack / 64⌉
+  std::size_t rack_words_;   ///< ⌈racks / 64⌉
+  std::size_t count_words_;  ///< ⌈(chips_per_rack + 1) / 64⌉
+  std::size_t buckets_at_;   ///< offset of racks_with_free(0) in bits_
+  std::size_t counts_at_;    ///< offset of free_counts() in bits_
+  /// One flat table: the racks' free masks, then racks_with_free(n) for
+  /// n = 0..chips_per_rack, then free_counts().
+  std::vector<std::uint64_t> bits_;
 };
 
 }  // namespace lp::topo

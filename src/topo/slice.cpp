@@ -1,6 +1,8 @@
 #include "topo/slice.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -47,6 +49,35 @@ std::optional<Error> bad_request(const TpuCluster& cluster, RackId rack, Shape s
   return bad_shape(shape);
 }
 
+bool within(Shape shape, Shape rack) {
+  for (std::size_t d = 0; d < kDims; ++d) {
+    if (shape[d] > rack[d]) return false;
+  }
+  return true;
+}
+
+// In place: bit i of `m` stays set iff bits i, i + step, ...,
+// i + (len - 1) * step all were.  Each pass ANDs the mask with itself
+// shifted down by k * step, which turns runs of `run` into runs of
+// run + k (k <= run keeps them contiguous).
+void erode(std::span<std::uint64_t> m, std::size_t step, std::int32_t len) {
+  const std::size_t n = m.size();
+  for (std::int32_t run = 1; run < len;) {
+    const std::int32_t k = std::min(run, len - run);
+    const std::size_t q = static_cast<std::size_t>(k) * step / 64;
+    const std::size_t r = static_cast<std::size_t>(k) * step % 64;
+    // Word i reads only words i + q and i + q + 1, which this pass has not
+    // written yet, so it can run ascending in place.
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t lo = i + q < n ? m[i + q] : 0;
+      const std::uint64_t hi = i + q + 1 < n ? m[i + q + 1] : 0;
+      // A shift by 64 is undefined: a whole-word step takes `lo` as it is.
+      m[i] &= r == 0 ? lo : (lo >> r) | (hi << (64 - r));
+    }
+    run += k;
+  }
+}
+
 }  // namespace
 
 SliceAllocator::SliceAllocator(TpuCluster& cluster)
@@ -64,21 +95,77 @@ SliceAllocator::SliceAllocator(TpuCluster& cluster)
     if (a.size() != b.size()) return a.size() > b.size();
     return a.extent < b.extent;
   });
-}
-
-bool SliceAllocator::fits(RackId rack, Coord offset, Shape shape) const {
+  const std::size_t words = cluster_.free_mask(0).size();
+  in_range_.assign(static_cast<std::size_t>(rs[0] + rs[1] + rs[2]) * words, 0);
   const Torus& torus = cluster_.rack_torus();
-  const TpuId base = rack * cluster_.chips_per_rack();
-  for (std::int32_t dx = 0; dx < shape[0]; ++dx) {
-    for (std::int32_t dy = 0; dy < shape[1]; ++dy) {
-      for (std::int32_t dz = 0; dz < shape[2]; ++dz) {
-        const TpuId chip =
-            base + torus.index(Coord{{offset[0] + dx, offset[1] + dy, offset[2] + dz}});
-        if (cluster_.state(chip) != ChipState::kFree) return false;
+  for (std::int32_t i = 0; i < torus.size(); ++i) {
+    const Coord c = torus.coord(i);
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    std::int32_t table = 0;  // the extent-1 mask of dimension d
+    for (std::size_t d = 0; d < kDims; ++d) {
+      for (std::int32_t e = 1; c[d] + e <= rs[d]; ++e) {
+        in_range_[static_cast<std::size_t>(table + e - 1) * words +
+                  static_cast<std::size_t>(i / 64)] |= bit;
       }
+      table += rs[d];
     }
   }
-  return true;
+  failed_at_.assign(static_cast<std::size_t>(rs.size()), 0);
+  scratch_.assign(words, 0);
+}
+
+std::size_t SliceAllocator::shape_index(Shape shape) const {
+  const Shape& rs = cluster_.config().rack_shape;
+  return static_cast<std::size_t>(((shape[0] - 1) * rs[1] + shape[1] - 1) * rs[2] +
+                                  shape[2] - 1);
+}
+
+template <typename Visit>
+void SliceAllocator::for_each_chip(const Slice& s, Visit&& visit) const {
+  // Row-major over the box is ascending in Torus::index, so in chip id.
+  const Shape& rs = cluster_.config().rack_shape;
+  const TpuId base = s.rack * cluster_.chips_per_rack();
+  for (std::int32_t x = s.offset[0]; x < s.offset[0] + s.shape[0]; ++x) {
+    for (std::int32_t y = s.offset[1]; y < s.offset[1] + s.shape[1]; ++y) {
+      const TpuId row = base + (x * rs[1] + y) * rs[2];
+      for (std::int32_t z = s.offset[2]; z < s.offset[2] + s.shape[2]; ++z) visit(row + z);
+    }
+  }
+}
+
+std::int32_t SliceAllocator::first_offset(RackId rack, Shape shape) const {
+  const std::span<const std::uint64_t> free = cluster_.free_mask(rack);
+  std::copy(free.begin(), free.end(), scratch_.begin());
+  const Shape& rs = cluster_.config().rack_shape;
+  const std::span<std::uint64_t> m{scratch_};
+  erode(m, 1, shape[2]);
+  erode(m, static_cast<std::size_t>(rs[2]), shape[1]);
+  erode(m, static_cast<std::size_t>(rs[1] * rs[2]), shape[0]);
+  // Keep the offsets at which the box stays inside the rack: the eroded
+  // bits elsewhere read chips of the next row or plane.
+  const std::size_t words = m.size();
+  const auto mask = [&](std::int32_t table) {
+    return &in_range_[static_cast<std::size_t>(table) * words];
+  };
+  const std::uint64_t* x = mask(shape[0] - 1);
+  const std::uint64_t* y = mask(rs[0] + shape[1] - 1);
+  const std::uint64_t* z = mask(rs[0] + rs[1] + shape[2] - 1);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t hits = m[w] & x[w] & y[w] & z[w];
+    if (hits != 0) return static_cast<std::int32_t>(w * 64) + std::countr_zero(hits);
+  }
+  return -1;
+}
+
+SliceId SliceAllocator::place(RackId rack, Coord offset, Shape shape) {
+  const Slice s{static_cast<SliceId>(slices_.size()), rack, offset, shape};
+  for_each_chip(s, [&](TpuId chip) {
+    cluster_.set_state(chip, ChipState::kAllocated);
+    owner_[static_cast<std::size_t>(chip)] = s.id;
+  });
+  slices_.push_back(s);
+  live_.push_back(true);
+  return s.id;
 }
 
 Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape shape) {
@@ -88,56 +175,43 @@ Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape sha
     if (offset[d] < 0 || offset[d] + shape[d] > rs[d])
       return Err("slice does not fit in rack along dim " + std::to_string(d));
   }
-  Slice s;
-  s.rack = rack;
-  s.offset = offset;
-  s.shape = shape;
-  for (Coord c : s.coords()) {
-    const TpuId chip = cluster_.chip_at(rack, c);
-    if (cluster_.state(chip) != ChipState::kFree)
-      return Err("chip " + std::to_string(chip) + " is not free");
-  }
-  s.id = static_cast<SliceId>(slices_.size());
-  for (Coord c : s.coords()) {
-    const TpuId chip = cluster_.chip_at(rack, c);
-    cluster_.set_state(chip, ChipState::kAllocated);
-    owner_[static_cast<std::size_t>(chip)] = s.id;
-  }
-  slices_.push_back(s);
-  live_.push_back(true);
-  return s.id;
+  TpuId busy = -1;
+  for_each_chip(Slice{-1, rack, offset, shape}, [&](TpuId chip) {
+    if (busy < 0 && cluster_.state(chip) != ChipState::kFree) busy = chip;
+  });
+  if (busy >= 0) return Err("chip " + std::to_string(busy) + " is not free");
+  return place(rack, offset, shape);
 }
 
 Result<SliceId> SliceAllocator::allocate_in_rack(RackId rack, Shape shape) {
   if (auto bad = bad_request(cluster_, rack, shape)) return std::move(*bad);
-  const Shape& rs = cluster_.config().rack_shape;
-  for (std::int32_t x = 0; x + shape[0] <= rs[0]; ++x) {
-    for (std::int32_t y = 0; y + shape[1] <= rs[1]; ++y) {
-      for (std::int32_t z = 0; z + shape[2] <= rs[2]; ++z) {
-        const Coord offset{{x, y, z}};
-        if (fits(rack, offset, shape)) return allocate_at(rack, offset, shape);
-      }
-    }
-  }
-  return Err("no free region of the requested shape in rack " + std::to_string(rack));
+  const std::int32_t at =
+      within(shape, cluster_.config().rack_shape) ? first_offset(rack, shape) : -1;
+  if (at < 0)
+    return Err("no free region of the requested shape in rack " + std::to_string(rack));
+  return place(rack, cluster_.rack_torus().coord(at), shape);
 }
 
 Result<SliceId> SliceAllocator::allocate(Shape shape) {
   if (auto bad = bad_shape(shape)) return std::move(*bad);
-  // Best-fit total order: racks by (free chips ascending, rack id
-  // ascending); a rack is skipped outright when its free count cannot cover
-  // the shape.  See the header for the full contract.
-  std::vector<std::pair<std::int32_t, RackId>> order;
-  order.reserve(static_cast<std::size_t>(cluster_.rack_count()));
-  for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
-    const std::int32_t free = free_in_rack(rack);
-    if (free >= shape.size()) order.emplace_back(free, rack);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [free, rack] : order) {
-    auto attempt = allocate_in_rack(rack, shape);
-    if (attempt) return attempt;
-  }
+  if (!within(shape, cluster_.config().rack_shape))
+    return Err("no free region of the requested shape in any rack");
+  // The memo is exact: since the failure no chip has become free, so the
+  // free set has only shrunk and nothing can fit now either.
+  std::uint64_t& failed_at = failed_at_[shape_index(shape)];
+  const std::uint64_t now = cluster_.free_epoch() + 1;
+  if (failed_at == now) return Err("no free region of the requested shape in any rack");
+  // Best-fit total order (see the header): racks that can cover the shape,
+  // by (free ascending, rack ascending), then the first row-major offset.
+  SliceId placed = -1;
+  cluster_.racks_by_free_ascending(shape.size(), [&](RackId rack) {
+    const std::int32_t at = first_offset(rack, shape);
+    if (at < 0) return false;
+    placed = place(rack, cluster_.rack_torus().coord(at), shape);
+    return true;
+  });
+  if (placed >= 0) return placed;
+  failed_at = now;
   return Err("no free region of the requested shape in any rack");
 }
 
@@ -145,14 +219,12 @@ void SliceAllocator::release(SliceId id) {
   if (id < 0 || static_cast<std::size_t>(id) >= slices_.size() ||
       !live_[static_cast<std::size_t>(id)])
     return;
-  const Slice& s = slices_[static_cast<std::size_t>(id)];
-  for (Coord c : s.coords()) {
-    const TpuId chip = cluster_.chip_at(s.rack, c);
+  for_each_chip(slices_[static_cast<std::size_t>(id)], [&](TpuId chip) {
     // A failed chip stays failed when its slice goes away.
     if (cluster_.state(chip) == ChipState::kAllocated)
       cluster_.set_state(chip, ChipState::kFree);
     owner_[static_cast<std::size_t>(chip)] = -1;
-  }
+  });
   live_[static_cast<std::size_t>(id)] = false;
 }
 
@@ -171,41 +243,22 @@ std::vector<SliceId> SliceAllocator::active_slices() const {
   return out;
 }
 
+std::vector<TpuId> SliceAllocator::chips(SliceId id) const {
+  std::vector<TpuId> out;
+  const Slice* s = slice(id);
+  if (s == nullptr) return out;
+  out.reserve(static_cast<std::size_t>(s->chip_count()));
+  for_each_chip(*s, [&](TpuId chip) { out.push_back(chip); });
+  return out;
+}
+
 Shape SliceAllocator::largest_placeable(RackId rack) const {
-  const std::int32_t free_total = free_in_rack(rack);
-  if (free_total == 0) return Shape{{0, 0, 0}};
-  const Shape& rs = cluster_.config().rack_shape;
-  // Free-cell occupancy of the rack, indexed by the rack torus: one pass
-  // over the rack, then every candidate probe reads bits (measured faster
-  // than probing chip states through fits()).
-  const std::int32_t per = cluster_.chips_per_rack();
-  std::vector<bool> free_cell(static_cast<std::size_t>(per));
-  for (std::int32_t i = 0; i < per; ++i) {
-    free_cell[static_cast<std::size_t>(i)] =
-        cluster_.state(rack * per + i) == ChipState::kFree;
-  }
+  if (rack < 0 || rack >= cluster_.rack_count()) return Shape{{0, 0, 0}};
   // The first placeable candidate (volume descending, shape lexicographic
   // ascending) is the answer.
-  const Torus& torus = cluster_.rack_torus();
+  const std::int32_t free_total = free_in_rack(rack);
   for (const Shape& s : candidates_) {
-    if (s.size() > free_total) continue;
-    for (std::int32_t x = 0; x + s[0] <= rs[0]; ++x) {
-      for (std::int32_t y = 0; y + s[1] <= rs[1]; ++y) {
-        for (std::int32_t z = 0; z + s[2] <= rs[2]; ++z) {
-          bool fits = true;
-          for (std::int32_t dx = 0; fits && dx < s[0]; ++dx) {
-            for (std::int32_t dy = 0; fits && dy < s[1]; ++dy) {
-              for (std::int32_t dz = 0; fits && dz < s[2]; ++dz) {
-                const std::int32_t idx =
-                    torus.index(Coord{{x + dx, y + dy, z + dz}});
-                fits = free_cell[static_cast<std::size_t>(idx)];
-              }
-            }
-          }
-          if (fits) return s;
-        }
-      }
-    }
+    if (s.size() <= free_total && first_offset(rack, s) >= 0) return s;
   }
   return Shape{{0, 0, 0}};
 }

@@ -70,6 +70,14 @@ struct FragmentationReport {
 };
 
 /// Tracks slice placement within a cluster and answers "who owns chip X".
+///
+/// Placement search is bit-parallel over TpuCluster's per-rack free masks.
+/// Torus::index is row-major and linear, so the offsets at which a shape
+/// (sx, sy, sz) lies on free chips are the free mask ANDed with itself
+/// shifted by every z, y * Z and x * Y * Z step of the box, then ANDed with
+/// the offsets at which the box stays inside the rack.  The lowest set bit
+/// is the first row-major offset.  The searches share one scratch mask, so
+/// an allocator serves one thread at a time, const calls included.
 class SliceAllocator {
  public:
   explicit SliceAllocator(TpuCluster& cluster);
@@ -92,6 +100,10 @@ class SliceAllocator {
   /// allocators whose racks hold identical free/allocated/failed sets place
   /// the next slice identically, no matter what alloc/release history
   /// produced those sets (permutation-invariance regression in topo_test).
+  ///
+  /// Racks come from TpuCluster's free-count index, walked upward from
+  /// shape.size().  A shape that failed at the current free_epoch() fails
+  /// in O(1): no chip has become free since, so nothing can fit.
   Result<SliceId> allocate(Shape shape);
 
   /// The within-rack leg of allocate()'s order: first row-major offset at
@@ -104,6 +116,9 @@ class SliceAllocator {
   [[nodiscard]] const Slice* slice(SliceId id) const;
   [[nodiscard]] std::vector<SliceId> active_slices() const;
 
+  /// Chips of a live slice in ascending id order; empty for a dead id.
+  [[nodiscard]] std::vector<TpuId> chips(SliceId id) const;
+
   /// Owning slice of a chip, or nullopt if free/failed/unowned.
   [[nodiscard]] std::optional<SliceId> owner(TpuId chip) const;
 
@@ -113,26 +128,45 @@ class SliceAllocator {
   }
 
   /// Largest-volume shape placeable entirely on free chips of `rack`
-  /// (ties broken by lexicographically smallest shape); {0,0,0} if none.
+  /// (ties broken by lexicographically smallest shape); {0,0,0} if none or
+  /// if the rack is out of range.
   [[nodiscard]] Shape largest_placeable(RackId rack) const;
 
   /// Full free/fragmentation accounting, one entry per rack.  O(racks x
-  /// shapes x offsets); callers that need it per-event should cache per
-  /// rack and recompute only racks whose chips changed state.
+  /// shapes x mask words) word operations; callers that need it per-event
+  /// should cache per rack and recompute only racks whose chips changed
+  /// state.
   [[nodiscard]] FragmentationReport fragmentation() const;
 
   [[nodiscard]] TpuCluster& cluster() { return cluster_; }
   [[nodiscard]] const TpuCluster& cluster() const { return cluster_; }
 
  private:
-  /// Whether `shape` at `offset` lies on free chips of `rack`; the caller
-  /// has checked that it lies inside the rack.  Allocates nothing.
-  [[nodiscard]] bool fits(RackId rack, Coord offset, Shape shape) const;
+  /// Lowest rack-torus index at which `shape` lies on free chips of
+  /// `rack`, or -1.  The caller has checked the rack and that every extent
+  /// is in 1..rack extent.  Allocates nothing.
+  [[nodiscard]] std::int32_t first_offset(RackId rack, Shape shape) const;
+  /// Records a slice at an offset the caller has checked is free.
+  SliceId place(RackId rack, Coord offset, Shape shape);
+  /// Calls visit(chip) for every chip of `s` in ascending id order.
+  template <typename Visit>
+  void for_each_chip(const Slice& s, Visit&& visit) const;
+  /// Dense index of a shape that fits the rack, for failed_at_.
+  [[nodiscard]] std::size_t shape_index(Shape shape) const;
 
   TpuCluster& cluster_;
   /// Every shape that fits a rack, in largest_placeable's (volume
   /// descending, extent ascending) order.
   std::vector<Shape> candidates_;
+  /// For each dimension d and extent e, the offsets at which e chips fit
+  /// along d (bit i set iff coord(i)[d] + e <= rack extent), one free
+  /// mask's words each: x extents first, then y, then z.
+  std::vector<std::uint64_t> in_range_;
+  /// Per shape_index(), free_epoch() + 1 when allocate() last failed for
+  /// the shape; 0 if it never did.
+  std::vector<std::uint64_t> failed_at_;
+  /// One free mask's words, eroded in place by first_offset().
+  mutable std::vector<std::uint64_t> scratch_;
   std::vector<Slice> slices_;
   std::vector<bool> live_;
   std::vector<std::int32_t> owner_;  ///< per chip, -1 = none

@@ -258,18 +258,31 @@ TEST(ClusterScheduler, EveryFlapOnARunningJobIsAClimbASuppressionOrAQuarantine) 
 // any change in which job starts when, or on which chips, moves it.  Each
 // config names the admission path it leans on, and `covers` keeps it from
 // silently drifting off that path.
+//
+// The digest deliberately excludes attempt diagnostics, so each run also
+// pins them, as recorded before harvest became a dry run over the free
+// masks (photonic/flaps-dense, digest included, was recorded then too): a
+// harvest that queried the flap damper about other chips, or counted a
+// deferral twice, would keep every digest.
+struct Attempts {
+  std::uint64_t morph_deferrals;
+  std::uint64_t morph_aborts;
+  std::uint64_t migration_failures;
+};
+
 struct PinnedRun {
   const char* name;
   ClusterParams params;
   std::uint64_t digest;
+  Attempts attempts;
   bool (*covers)(const ClusterReport&);
 };
 
 std::vector<PinnedRun> pinned_runs() {
   std::vector<PinnedRun> runs;
   const auto add = [&](const char* name, ClusterParams p, std::uint64_t digest,
-                       bool (*covers)(const ClusterReport&)) {
-    runs.push_back(PinnedRun{name, std::move(p), digest, covers});
+                       Attempts attempts, bool (*covers)(const ClusterReport&)) {
+    runs.push_back(PinnedRun{name, std::move(p), digest, attempts, covers});
   };
   const auto overload = [](std::int32_t racks) {
     ClusterParams p = small_cluster(racks);
@@ -283,23 +296,25 @@ std::vector<PinnedRun> pinned_runs() {
     return p;
   };
   using R = const ClusterReport&;
+  constexpr Attempts kNone{0, 0, 0};
 
   {
     ClusterParams p = small_cluster(2);
     p.arrival_rate_per_s = 2.0;
     p.mtbf_hours = 0.5;
-    add("photonic/base", p, 0x20bbde819f8bca22, [](R r) { return r.placed_morphed > 0; });
-    add("electrical/base", electrical(p), 0x7fd03785d52e7eb8,
+    add("photonic/base", p, 0x20bbde819f8bca22, kNone,
+        [](R r) { return r.placed_morphed > 0; });
+    add("electrical/base", electrical(p), 0x7fd03785d52e7eb8, kNone,
         [](R r) { return r.migrations > 0; });
   }
-  add("photonic/overload", overload(3), 0x96c65b8e1ef4f023,
+  add("photonic/overload", overload(3), 0x96c65b8e1ef4f023, kNone,
       [](R r) { return r.placed_morphed > 0; });
-  add("electrical/overload", electrical(overload(3)), 0x85d8b1ce53b0d753,
+  add("electrical/overload", electrical(overload(3)), 0x85d8b1ce53b0d753, kNone,
       [](R r) { return r.migrations > 0; });
   {
     ClusterParams p = overload(3);
     p.morph_enabled = false;
-    add("photonic/morph-off", p, 0x31f8d83182b0dbe5,
+    add("photonic/morph-off", p, 0x31f8d83182b0dbe5, kNone,
         [](R r) { return r.placed_morphed == 0; });
   }
   {
@@ -309,10 +324,10 @@ std::vector<PinnedRun> pinned_runs() {
     p.mtbf_hours = 0.01;
     p.shrink_min_fraction = 1.01;
     p.max_requeues = 1;
-    add("photonic/requeue-heavy", p, 0xb3f8a2f90dd87551,
+    add("photonic/requeue-heavy", p, 0xb3f8a2f90dd87551, kNone,
         [](R r) { return r.requeues > 10 && r.morphs > 0; });
     p.max_requeues = 0;
-    add("electrical/requeue-heavy", electrical(p), 0x744674af342c4235,
+    add("electrical/requeue-heavy", electrical(p), 0x744674af342c4235, {0, 0, 18},
         [](R r) { return r.requeues > 10 && r.aborted > 10; });
   }
   {
@@ -324,7 +339,7 @@ std::vector<PinnedRun> pinned_runs() {
     p.ocs_switches = 1;
     p.ocs.ports = 2;
     p.mtbf_hours = 0.01;
-    add("photonic/morph-abort-heavy", p, 0x05027ac5c5803a8a,
+    add("photonic/morph-abort-heavy", p, 0x05027ac5c5803a8a, {0, 28, 0},
         [](R r) { return r.morph_aborts > 10 && r.placed_morphed > 0; });
   }
   {
@@ -333,13 +348,24 @@ std::vector<PinnedRun> pinned_runs() {
     ClusterParams p = overload(4);
     p.flap_rate_per_hour = 720.0;
     p.flappy_chips = 32;
-    add("photonic/flaps-hysteresis", p, 0x4384b9bd25e379fc,
+    add("photonic/flaps-hysteresis", p, 0x4384b9bd25e379fc, {401, 0, 0},
         [](R r) { return r.morph_deferrals > 0 && r.placed_morphed > 0; });
-    add("electrical/flaps-hysteresis", electrical(p), 0xe461dfc8c6cea8c3,
+    add("electrical/flaps-hysteresis", electrical(p), 0xe461dfc8c6cea8c3, kNone,
         [](R r) { return r.flap_repairs > 0 && r.migrations > 0; });
     p.gray_hysteresis = false;
-    add("photonic/flaps-naive", p, 0x9258cdb4bdddcf4c,
+    add("photonic/flaps-naive", p, 0x9258cdb4bdddcf4c, kNone,
         [](R r) { return r.flap_repairs > 0 && r.morph_deferrals == 0; });
+  }
+  {
+    // Dense flaps: every other chip flaps, so a harvest that covers its
+    // volume mid-rack usually has quarantined chips after its last pick.
+    // A dry run that queried the damper past the cover point would count
+    // them; the digest cannot see that, the deferral count can.
+    ClusterParams p = overload(4);
+    p.flap_rate_per_hour = 720.0;
+    p.flappy_chips = 128;
+    add("photonic/flaps-dense", p, 0xc725dabc302dcbfe, {1253, 0, 0},
+        [](R r) { return r.morph_deferrals > 0 && r.placed_morphed > 0; });
   }
   {
     // Two shapes of one volume (4x2x1 and 2x4x1) plus single chips and a
@@ -347,19 +373,24 @@ std::vector<PinnedRun> pinned_runs() {
     ClusterParams p = overload(3);
     p.mix = {{Shape{{4, 2, 1}}, 2.0}, {Shape{{2, 4, 1}}, 2.0}, {Shape{{1, 1, 1}}, 1.0},
              {Shape{{2, 2, 2}}, 1.0}, {Shape{{4, 4, 4}}, 0.3}};
-    add("photonic/shared-volume-mix", p, 0x58944eb6b80ddc0b,
+    add("photonic/shared-volume-mix", p, 0x58944eb6b80ddc0b, kNone,
         [](R r) { return r.placed_morphed > 0; });
-    add("electrical/shared-volume-mix", electrical(p), 0x609ce4958aa4c587,
+    add("electrical/shared-volume-mix", electrical(p), 0x609ce4958aa4c587, kNone,
         [](R r) { return r.migrations > 0; });
   }
   return runs;
 }
 
 TEST(ClusterScheduler, AdmissionOrderMatchesPinnedDigests) {
-  for (const PinnedRun& run : pinned_runs()) {
+  const std::vector<PinnedRun> runs = pinned_runs();
+  ASSERT_EQ(runs.size(), 14u);
+  for (const PinnedRun& run : runs) {
     const ClusterReport r = run_cluster(run.params);
     EXPECT_EQ(r.digest, run.digest)
         << run.name << ": digest " << std::hex << r.digest << std::dec;
+    EXPECT_EQ(r.morph_deferrals, run.attempts.morph_deferrals) << run.name;
+    EXPECT_EQ(r.morph_aborts, run.attempts.morph_aborts) << run.name;
+    EXPECT_EQ(r.migration_failures, run.attempts.migration_failures) << run.name;
     EXPECT_GT(r.queue_delay_p99_s, 0.0) << run.name << ": no queue ever formed";
     EXPECT_TRUE(run.covers(r)) << run.name << ": off its admission path";
   }

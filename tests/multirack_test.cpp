@@ -139,6 +139,37 @@ TEST(JoinedTorus, Figure6bCrossRackRepairCongests) {
   EXPECT_FALSE(attempt);
 }
 
+// The placement search on the joined 4x4x8 shape: its 128-chip free masks
+// take two words, and a box four chips deep in x steps 32 and then 64 chips
+// (a whole word) through them.
+TEST(JoinedTorus, PlacementSearchSpansBothRacks) {
+  OcsBank bank;
+  auto joined = JoinedTorus::join(ClusterConfig{}, 2, 2, bank);
+  ASSERT_TRUE(joined.ok());
+  const JoinedTorus& j = joined.value();
+  auto& cluster = joined.value().cluster();
+  SliceAllocator alloc{cluster};
+
+  const auto whole = alloc.allocate(Shape{{4, 4, 8}});
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(alloc.slice(whole.value())->offset, (Coord{{0, 0, 0}}));
+  EXPECT_EQ(alloc.largest_placeable(0), (Shape{{0, 0, 0}}));
+  alloc.release(whole.value());
+
+  // z 0..2 taken: the first free 4x4x4 starts at z = 3 and straddles the
+  // seam between the two physical racks.
+  ASSERT_TRUE(alloc.allocate_at(0, Coord{{0, 0, 0}}, Shape{{4, 4, 3}}).ok());
+  EXPECT_EQ(alloc.largest_placeable(0), (Shape{{4, 4, 5}}));
+  const auto cube = alloc.allocate(Shape{{4, 4, 4}});
+  ASSERT_TRUE(cube.ok());
+  const Slice* s = alloc.slice(cube.value());
+  EXPECT_EQ(s->offset, (Coord{{0, 0, 3}}));
+  EXPECT_NE(j.physical_rack(Coord{{0, 0, 3}}), j.physical_rack(Coord{{0, 0, 6}}));
+  // Only the z = 7 layer is left.
+  EXPECT_EQ(alloc.largest_placeable(0), (Shape{{4, 4, 1}}));
+  EXPECT_FALSE(alloc.allocate(Shape{{4, 4, 2}}).ok());
+}
+
 // Local helper mirroring core::attempt_electrical_repair's feasibility via
 // the congestion toolkit (topo tests must not depend on lp_core).
 bool core_attempt(TpuCluster& cluster, const SliceAllocator& alloc, TpuId failed) {

@@ -4,6 +4,8 @@
 #include <array>
 #include <optional>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "topo/cluster.hpp"
@@ -92,34 +94,130 @@ TEST(Cluster, StateTracking) {
   EXPECT_EQ(cluster.free_chips_in_rack(0).size(), 64u);
 }
 
-// set_state keeps O(1) free counts; they must equal a recount after any
-// sequence of writes, same-state writes and failed -> free included.
+// set_state keeps the free counts, the per-rack free masks, the free-count
+// rack index and free_epoch(); they must equal a recount after any sequence
+// of writes, same-state writes and failed -> free included, and the index's
+// rack walks must follow the recounts.  The second config has two-word free
+// masks (4x4x8 racks) and two words of rack ids.
 TEST(Cluster, FreeCountsTrackEveryStateChange) {
-  ClusterConfig config;
-  config.racks = 3;
-  TpuCluster cluster{config};
-  Rng rng{0xf7ee};
-  const auto recount = [&](RackId rack) {
-    return static_cast<std::int32_t>(cluster.free_chips_in_rack(rack).size());
-  };
-  constexpr std::array<ChipState, 3> kStates{ChipState::kFree, ChipState::kAllocated,
-                                             ChipState::kFailed};
-  for (int step = 0; step < 5000; ++step) {
-    // Half the writes hit a small hot set, so same-state writes and every
-    // transition (failed -> free too) happen often.
-    const auto chips = static_cast<std::uint64_t>(cluster.chip_count());
-    const auto chip =
-        static_cast<TpuId>(rng.uniform_index(rng.bernoulli(0.5) ? 8 : chips));
-    cluster.set_state(chip, kStates[rng.uniform_index(kStates.size())]);
-    const RackId rack = cluster.rack_of(chip);
-    ASSERT_EQ(cluster.free_in_rack(rack), recount(rack)) << "step " << step;
-    if (step % 97 == 0) {
-      std::int32_t total = 0;
-      for (RackId r = 0; r < cluster.rack_count(); ++r) {
-        ASSERT_EQ(cluster.free_in_rack(r), recount(r)) << "step " << step;
-        total += recount(r);
+  for (const auto& [racks, rack_shape] :
+       {std::pair{3, Shape{{4, 4, 4}}}, std::pair{70, Shape{{4, 4, 8}}}}) {
+    ClusterConfig config;
+    config.racks = racks;
+    config.rack_shape = rack_shape;
+    TpuCluster cluster{config};
+    Rng rng{0xf7ee};
+    const std::int32_t per = cluster.chips_per_rack();
+    const auto recount = [&](RackId rack) {
+      return static_cast<std::int32_t>(cluster.free_chips_in_rack(rack).size());
+    };
+    // Bit i of the mask is chip rack * per + i being free; bits past the
+    // rack are clear.
+    const auto mask_matches = [&](RackId rack) {
+      const std::span<const std::uint64_t> mask = cluster.free_mask(rack);
+      if (mask.size() != static_cast<std::size_t>(per + 63) / 64) return false;
+      for (std::int32_t i = 0; i < static_cast<std::int32_t>(mask.size()) * 64; ++i) {
+        const bool bit = ((mask[static_cast<std::size_t>(i / 64)] >> (i % 64)) & 1u) != 0;
+        const bool free = i < per && cluster.state(rack * per + i) == ChipState::kFree;
+        if (bit != free) return false;
       }
-      ASSERT_EQ(cluster.free_count(), total) << "step " << step;
+      return true;
+    };
+    // Recounted free chips per rack: a rack's entry is refreshed whenever
+    // one of its chips is written.
+    std::vector<std::int32_t> free(static_cast<std::size_t>(racks), per);
+    // The count index must walk the recounts in (free ascending, rack
+    // ascending) order from any floor, and in (free descending, rack
+    // ascending) order over racks with a free chip.
+    const auto walks_match = [&](std::int32_t min_free) {
+      std::vector<std::pair<std::int32_t, RackId>> up;
+      std::vector<std::pair<std::int32_t, RackId>> down;
+      for (RackId r = 0; r < racks; ++r) {
+        const std::int32_t f = free[static_cast<std::size_t>(r)];
+        if (f >= min_free) up.emplace_back(f, r);
+        if (f > 0) down.emplace_back(-f, r);
+      }
+      std::sort(up.begin(), up.end());
+      std::sort(down.begin(), down.end());
+      std::vector<RackId> want_up;
+      std::vector<RackId> want_down;
+      for (const auto& e : up) want_up.push_back(e.second);
+      for (const auto& e : down) want_down.push_back(e.second);
+      std::vector<RackId> got_up;
+      std::vector<RackId> got_down;
+      const bool stopped_up = cluster.racks_by_free_ascending(min_free, [&](RackId r) {
+        got_up.push_back(r);
+        return false;
+      });
+      const bool stopped_down = cluster.racks_by_free_descending([&](RackId r) {
+        got_down.push_back(r);
+        return false;
+      });
+      return !stopped_up && !stopped_down && got_up == want_up && got_down == want_down;
+    };
+    // The index itself: racks_with_free(n) holds exactly the racks whose
+    // recount is n, and free_counts() has bit n iff some rack does.
+    const auto bit = [](std::span<const std::uint64_t> words, std::size_t i) {
+      return i < words.size() * 64 && ((words[i / 64] >> (i % 64)) & 1u) != 0;
+    };
+    const auto index_matches = [&](std::int32_t n) {
+      const std::span<const std::uint64_t> racks_n = cluster.racks_with_free(n);
+      if (racks_n.size() != static_cast<std::size_t>(racks + 63) / 64) return false;
+      bool used = false;
+      for (std::size_t r = 0; r < racks_n.size() * 64; ++r) {
+        const bool want =
+            r < static_cast<std::size_t>(racks) && free[r] == n;
+        if (bit(racks_n, r) != want) return false;
+        used = used || want;
+      }
+      return bit(cluster.free_counts(), static_cast<std::size_t>(n)) == used;
+    };
+    const auto counts_past_rack_clear = [&] {
+      const std::span<const std::uint64_t> counts = cluster.free_counts();
+      for (std::size_t n = static_cast<std::size_t>(per) + 1; n < counts.size() * 64; ++n) {
+        if (bit(counts, n)) return false;
+      }
+      return true;
+    };
+    constexpr std::array<ChipState, 3> kStates{ChipState::kFree, ChipState::kAllocated,
+                                               ChipState::kFailed};
+    std::uint64_t epoch = 0;
+    for (int step = 0; step < 5000; ++step) {
+      // Half the writes hit a small hot set, so same-state writes and every
+      // transition (failed -> free too) happen often.
+      const auto chips = static_cast<std::uint64_t>(cluster.chip_count());
+      const auto chip =
+          static_cast<TpuId>(rng.uniform_index(rng.bernoulli(0.5) ? 8 : chips));
+      const ChipState to = kStates[rng.uniform_index(kStates.size())];
+      if (cluster.state(chip) != ChipState::kFree && to == ChipState::kFree) ++epoch;
+      cluster.set_state(chip, to);
+      const RackId rack = cluster.rack_of(chip);
+      const std::int32_t before = free[static_cast<std::size_t>(rack)];
+      free[static_cast<std::size_t>(rack)] = recount(rack);
+      ASSERT_EQ(cluster.free_in_rack(rack), recount(rack)) << racks << " step " << step;
+      ASSERT_TRUE(mask_matches(rack)) << racks << " step " << step;
+      ASSERT_EQ(cluster.free_epoch(), epoch) << racks << " step " << step;
+      // The write can only have moved `rack` out of bucket `before`.
+      ASSERT_TRUE(index_matches(before)) << racks << " step " << step;
+      ASSERT_TRUE(index_matches(free[static_cast<std::size_t>(rack)]))
+          << racks << " step " << step;
+      const auto floor = static_cast<std::int32_t>(rng.uniform_index(
+          static_cast<std::uint64_t>(per) + 2));
+      ASSERT_TRUE(walks_match(0)) << racks << " step " << step;
+      ASSERT_TRUE(walks_match(floor)) << racks << " step " << step << " floor " << floor;
+      if (step % 97 == 0) {
+        std::int32_t total = 0;
+        for (RackId r = 0; r < cluster.rack_count(); ++r) {
+          ASSERT_EQ(cluster.free_in_rack(r), recount(r)) << racks << " step " << step;
+          ASSERT_TRUE(mask_matches(r)) << racks << " step " << step << " rack " << r;
+          total += recount(r);
+        }
+        ASSERT_EQ(cluster.free_count(), total) << racks << " step " << step;
+        for (std::int32_t n = 0; n <= per; ++n) {
+          ASSERT_TRUE(index_matches(n)) << racks << " step " << step << " count " << n;
+        }
+        ASSERT_TRUE(counts_past_rack_clear()) << racks << " step " << step;
+      }
     }
   }
 }
@@ -330,7 +428,8 @@ TEST(Allocator, PlacementIsInvariantToAllocationHistory) {
 }
 
 // Out-of-range racks used to index past the chip table, and extents below
-// 1 used to "place" an empty slice; every entry point now refuses both.
+// 1 used to "place" an empty slice; every entry point now refuses both, and
+// largest_placeable() reports nothing placeable in a rack that is not there.
 TEST(Allocator, RejectsOutOfRangeRackAndEmptyShapes) {
   ClusterConfig config;
   config.racks = 2;
@@ -341,6 +440,7 @@ TEST(Allocator, RejectsOutOfRangeRackAndEmptyShapes) {
   for (const RackId rack : {-1, 2, 1000}) {
     EXPECT_FALSE(alloc.allocate_at(rack, origin, tray).ok()) << rack;
     EXPECT_FALSE(alloc.allocate_in_rack(rack, tray).ok()) << rack;
+    EXPECT_EQ(alloc.largest_placeable(rack), (Shape{{0, 0, 0}})) << rack;
   }
   for (const Shape shape : {Shape{{0, 4, 4}}, Shape{{-2, -2, 4}}, Shape{{4, 4, 0}},
                             Shape{{1, -1, 1}}}) {
@@ -356,7 +456,12 @@ TEST(Allocator, RejectsOutOfRangeRackAndEmptyShapes) {
 }
 
 // allocate() and largest_placeable() against an exhaustive search written
-// from their documented contracts, on random free/allocated/failed racks.
+// from their documented contracts, on random free/allocated/failed racks:
+// 4x4x4 racks, unequal extents, free masks of two to four words (4x4x8,
+// 4x6x8 and 4x8x8 racks: steps that cross words, and whole-word steps) and
+// two words of rack ids (70 racks).  Each trial then frees a chip behind the
+// allocator's back and re-probes a shape that just failed: allocate()'s
+// failure memo must notice a free it did not cause.
 TEST(Allocator, SearchMatchesBruteForce) {
   struct Placement {
     RackId rack;
@@ -424,15 +529,44 @@ TEST(Allocator, SearchMatchesBruteForce) {
     return best;
   };
 
+  // The busy chip of the first box (by rack id, then row-major offset) that
+  // has exactly one busy chip; freeing it makes `s` placeable.
+  const auto sole_blocker = [&](const TpuCluster& c, Shape s) -> std::optional<TpuId> {
+    for (RackId r = 0; r < c.rack_count(); ++r) {
+      for (const Coord o : offsets(c.config().rack_shape, s)) {
+        std::vector<TpuId> busy;
+        for (std::int32_t x = 0; x < s[0]; ++x) {
+          for (std::int32_t y = 0; y < s[1]; ++y) {
+            for (std::int32_t z = 0; z < s[2]; ++z) {
+              const TpuId chip = c.chip_at(r, Coord{{o[0] + x, o[1] + y, o[2] + z}});
+              if (c.state(chip) != ChipState::kFree) busy.push_back(chip);
+            }
+          }
+        }
+        if (busy.size() == 1) return busy.front();
+      }
+    }
+    return std::nullopt;
+  };
+  const auto fits_rack = [](Shape rs, Shape s) {
+    return s[0] <= rs[0] && s[1] <= rs[1] && s[2] <= rs[2];
+  };
+
   const std::vector<Shape> probes{Shape{{2, 2, 1}}, Shape{{4, 2, 1}}, Shape{{2, 4, 1}},
                                   Shape{{1, 1, 1}}, Shape{{4, 4, 1}}, Shape{{2, 2, 2}},
-                                  Shape{{1, 3, 2}}, Shape{{4, 4, 4}}};
+                                  Shape{{1, 3, 2}}, Shape{{4, 4, 4}}, Shape{{2, 1, 8}}};
   Rng rng{0xb207e};
   std::size_t placed = 0;
-  for (int trial = 0; trial < 240; ++trial) {
+  std::size_t reprobed = 0;
+  std::size_t reopened = 0;
+  for (int trial = 0; trial < 300; ++trial) {
     ClusterConfig config;
     config.racks = 4;
     if (trial % 4 == 3) config.rack_shape = Shape{{3, 2, 4}};  // unequal extents
+    if (trial >= 240 && trial % 4 == 0) config.rack_shape = Shape{{4, 4, 8}};
+    if (trial >= 240 && trial % 4 == 1) config.racks = 70;
+    if (trial >= 240 && trial % 4 == 2) config.rack_shape = Shape{{4, 6, 8}};
+    if (trial >= 240 && trial % 4 == 3) config.rack_shape = Shape{{4, 8, 8}};
     TpuCluster cluster{config};
     SliceAllocator alloc{cluster};
     // Per-rack free fractions from nearly empty to nearly full.
@@ -460,8 +594,33 @@ TEST(Allocator, SearchMatchesBruteForce) {
       EXPECT_EQ(slice->offset, want->offset) << "trial " << trial;
       alloc.release(got.value());
     }
+    // The first probe that fails now: fail it twice (the second answer comes
+    // from the memo), free its sole blocker (else the lowest busy chip)
+    // straight through set_state, and re-probe.
+    for (const Shape& s : probes) {
+      if (!fits_rack(config.rack_shape, s) || brute_allocate(cluster, s)) continue;
+      ASSERT_FALSE(alloc.allocate(s).ok()) << "trial " << trial;
+      ASSERT_FALSE(alloc.allocate(s).ok()) << "trial " << trial;
+      TpuId chip = sole_blocker(cluster, s).value_or(-1);
+      for (TpuId c = 0; chip < 0; ++c) {
+        if (cluster.state(c) != ChipState::kFree) chip = c;
+      }
+      cluster.set_state(chip, ChipState::kFree);
+      ++reprobed;
+      const std::optional<Placement> want = brute_allocate(cluster, s);
+      const auto got = alloc.allocate(s);
+      ASSERT_EQ(got.ok(), want.has_value()) << "trial " << trial << " re-probe";
+      if (got.ok()) {
+        ++reopened;
+        EXPECT_EQ(alloc.slice(got.value())->rack, want->rack) << "trial " << trial;
+        EXPECT_EQ(alloc.slice(got.value())->offset, want->offset) << "trial " << trial;
+      }
+      break;
+    }
   }
   EXPECT_GT(placed, 500u);
+  EXPECT_GT(reprobed, 150u);
+  EXPECT_GT(reopened, 75u);
 }
 
 TEST(Figure5, PackingMatchesPaper) {
