@@ -8,7 +8,7 @@
 // primitive.
 #include "bench/bench_common.hpp"
 #include "collective/alltoall.hpp"
-#include "collective/extra_schedules.hpp"
+#include "collective/schedule.hpp"
 #include "sim/flow_sim.hpp"
 #include "topo/slice.hpp"
 

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "collective/cost_model.hpp"
-#include "collective/extra_schedules.hpp"
+#include "collective/schedule.hpp"
 #include "sim/flow_sim.hpp"
 #include "topo/multirack.hpp"
 #include "topo/slice.hpp"

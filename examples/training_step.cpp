@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "collective/extra_schedules.hpp"
+#include "collective/schedule.hpp"
 #include "core/training_sim.hpp"
 #include "sim/flow_sim.hpp"
 #include "sim/trace.hpp"

@@ -56,6 +56,7 @@ Schedule build_all_to_all_schedule(const topo::TpuCluster& cluster,
                                    const topo::Slice& slice, const DemandMatrix& demand,
                                    Interconnect interconnect, const CostParams& params) {
   Schedule schedule;
+  if (topo::outside_rack(cluster, slice)) return schedule;
   std::vector<topo::TpuId> chips;
   for (const topo::Coord& c : slice.coords()) chips.push_back(cluster.chip_at(slice.rack, c));
   const std::size_t p = chips.size();
@@ -64,8 +65,6 @@ Schedule build_all_to_all_schedule(const topo::TpuCluster& cluster,
   // One circuit per chip per round: with every chip pairing off, the
   // redirected bandwidth per circuit is the full chip bandwidth.
   const Bandwidth circuit_rate = params.chip_bandwidth;
-  const Bandwidth elec_rate = params.chip_bandwidth / static_cast<double>(params.total_dims);
-  (void)elec_rate;
 
   for (std::size_t round = 1; round < p; ++round) {
     Phase phase;

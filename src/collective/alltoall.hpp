@@ -47,7 +47,8 @@ struct DemandMatrix {
 /// Builds the rotation schedule over the slice's chips for the demand
 /// matrix.  Electrical transfers carry dimension-ordered routes; optical
 /// rounds are contention-free at `circuit_rate` with a reconfiguration
-/// pre-delay per round.
+/// pre-delay per round.  Empty for a slice outside its rack
+/// (topo::outside_rack) or a demand matrix of another size.
 [[nodiscard]] Schedule build_all_to_all_schedule(const topo::TpuCluster& cluster,
                                                  const topo::Slice& slice,
                                                  const DemandMatrix& demand,

@@ -9,21 +9,6 @@
 
 namespace lp::coll {
 
-namespace {
-
-std::uint32_t floor_log2(std::size_t m) {
-  std::uint32_t k = 0;
-  while ((std::size_t{1} << (k + 1)) <= m) ++k;
-  return k;
-}
-
-std::uint32_t ceil_log2(std::size_t m) {
-  const std::uint32_t k = floor_log2(m);
-  return (std::size_t{1} << k) == m ? k : k + 1;
-}
-
-}  // namespace
-
 Autotuner::Autotuner(TunerParams params) : params_{params} {}
 
 std::vector<Algorithm> Autotuner::candidates(CollOp op) {

@@ -6,18 +6,6 @@ namespace lp::coll {
 
 namespace {
 
-/// Largest K with 2^K <= m (m >= 1).
-std::uint32_t floor_log2(std::size_t m) {
-  std::uint32_t k = 0;
-  while ((std::size_t{1} << (k + 1)) <= m) ++k;
-  return k;
-}
-
-std::uint32_t ceil_log2(std::size_t m) {
-  const std::uint32_t k = floor_log2(m);
-  return (std::size_t{1} << k) == m ? k : k + 1;
-}
-
 Transfer make_transfer(topo::TpuId src, topo::TpuId dst, DataSize bytes,
                        Bandwidth rate) {
   Transfer t;
@@ -28,14 +16,15 @@ Transfer make_transfer(topo::TpuId src, topo::TpuId dst, DataSize bytes,
   return t;
 }
 
-/// m-1 phases of `per_step` bytes around the member ring; reconfiguration
-/// on the first phase only.  Shared body of the ring RS / AG halves.
-Schedule ring_half(const std::vector<topo::TpuId>& members, DataSize per_step,
-                   Bandwidth rate, Duration reconfig_delay) {
+/// `steps` phases in which every member sends `per_step` bytes to the next
+/// around the member ring; reconfiguration on the first phase only (the
+/// ring circuits persist).  Shared body of the ring RS / AG / AllReduce
+/// and the fixed-ring all-to-all.
+Schedule ring_steps(const std::vector<topo::TpuId>& members, std::size_t steps,
+                    DataSize per_step, Bandwidth rate, Duration reconfig_delay) {
   Schedule schedule;
   const std::size_t m = members.size();
-  if (m < 2) return schedule;
-  for (std::size_t step = 0; step + 1 < m; ++step) {
+  for (std::size_t step = 0; step < steps; ++step) {
     Phase phase;
     if (step == 0) phase.pre_delay = reconfig_delay;
     for (std::size_t e = 0; e < m; ++e) {
@@ -182,20 +171,29 @@ Schedule build_halving_doubling_all_reduce_schedule(
   return schedule;
 }
 
+Schedule build_elastic_ring_schedule(const std::vector<topo::TpuId>& members,
+                                     DataSize n, Bandwidth rate,
+                                     Duration reconfig_delay) {
+  const std::size_t m = members.size();
+  if (m < 2) return Schedule{};
+  // m-1 reduce-scatter steps followed by m-1 all-gather steps, identical
+  // traffic pattern in both halves.
+  return ring_steps(members, 2 * (m - 1), n / static_cast<double>(m), rate,
+                    reconfig_delay);
+}
+
 Schedule build_ring_reduce_scatter_schedule(
     const std::vector<topo::TpuId>& members, DataSize n, Bandwidth rate,
     Duration reconfig_delay) {
   const std::size_t m = members.size();
   if (m < 2) return Schedule{};
-  return ring_half(members, n / static_cast<double>(m), rate, reconfig_delay);
+  return ring_steps(members, m - 1, n / static_cast<double>(m), rate, reconfig_delay);
 }
 
 Schedule build_ring_all_gather_schedule(const std::vector<topo::TpuId>& members,
                                         DataSize n, Bandwidth rate,
                                         Duration reconfig_delay) {
-  const std::size_t m = members.size();
-  if (m < 2) return Schedule{};
-  return ring_half(members, n / static_cast<double>(m), rate, reconfig_delay);
+  return build_ring_reduce_scatter_schedule(members, n, rate, reconfig_delay);
 }
 
 Schedule build_pipeline_broadcast_schedule(
@@ -246,7 +244,7 @@ Schedule build_ring_all_to_all_schedule(const std::vector<topo::TpuId>& members,
   if (m < 2) return Schedule{};
   const DataSize per_phase =
       n * (static_cast<double>(m) / (2.0 * static_cast<double>(m - 1)));
-  return ring_half(members, per_phase, rate, reconfig_delay);
+  return ring_steps(members, m - 1, per_phase, rate, reconfig_delay);
 }
 
 Schedule build_direct_transfer_schedule(topo::TpuId src, topo::TpuId dst,

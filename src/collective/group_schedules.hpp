@@ -1,12 +1,13 @@
-// Logarithmic and all-to-all schedules over explicit member lists.
+// Ring, logarithmic and all-to-all schedules over explicit member lists.
 //
-// build_elastic_ring_schedule (schedule.hpp) established the idiom the
-// runtime layer depends on: a builder that takes *whatever chips survive*,
-// in order, and lowers a collective onto dedicated optical circuits at a
-// caller-supplied rate — so the same builder serves healthy slices and
-// elastically shrunk post-fault rings alike.  This header extends the
-// family with the log-depth algorithms the autotuner chooses between:
+// Each builder takes *whatever chips survive*, in order, and lowers a
+// collective onto dedicated optical circuits at a caller-supplied rate —
+// so the same builder serves healthy slices and elastically shrunk
+// post-fault rings alike.  The family is what the autotuner chooses
+// between:
 //
+//   * the elastic ring AllReduce, 2(m-1) steps of n/m around the ring —
+//     the builder the runtime layer's elastic degradation depends on.
 //   * binomial tree broadcast / reduce / all-reduce — K = ceil(log2 m)
 //     phases of full-buffer transfers.  Every phase connects a fresh pair
 //     set, so every phase pays the reconfiguration delay.
@@ -30,6 +31,7 @@
 // the property the autotuner's closed-form predictions rely on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +40,28 @@
 #include "util/units.hpp"
 
 namespace lp::coll {
+
+/// Largest K with 2^K <= m, for m >= 1: the halving algorithms' core depth.
+[[nodiscard]] constexpr std::uint32_t floor_log2(std::size_t m) {
+  return static_cast<std::uint32_t>(std::bit_width(m)) - 1;
+}
+
+/// Smallest K with 2^K >= m, for m >= 1: the binomial tree's depth.
+[[nodiscard]] constexpr std::uint32_t ceil_log2(std::size_t m) {
+  return static_cast<std::uint32_t>(std::bit_width(m - 1));
+}
+
+/// Ring AllReduce: 2*(m-1) phases (reduce-scatter then all-gather), each
+/// sending N/m bytes from member[i] to member[(i+1) % m] on a dedicated
+/// circuit at `rate`, with the first phase paying `reconfig_delay`.
+///
+/// The member list is *whatever chips survive*, in ring order — this is the
+/// elastic-degradation builder the runtime layer uses after a chip death
+/// exhausts respare: the ring shrinks to the survivors and the job continues
+/// at whatever `rate` the bridging circuits sustain instead of failing.
+[[nodiscard]] Schedule build_elastic_ring_schedule(const std::vector<topo::TpuId>& members,
+                                                   DataSize n, Bandwidth rate,
+                                                   Duration reconfig_delay);
 
 /// Binomial tree broadcast from members[0]: phase k doubles the set of
 /// informed members (ranks [0, 2^k) send the full buffer to ranks

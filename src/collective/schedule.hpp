@@ -47,6 +47,9 @@ struct Schedule {
 
 /// Lowers a ReduceScatter on `slice` to an executable schedule.
 ///
+/// Every slice-level builder (these four and build_all_to_all_schedule)
+/// returns an empty schedule for a slice that topo::outside_rack rejects.
+///
 /// Electrical: the cost model's plan stages are realized as rings
 /// (serpentine for the snake stage, +d rings otherwise); each ring step
 /// becomes a phase whose transfers follow the realized links at the static
@@ -62,18 +65,36 @@ struct Schedule {
                                                      RedirectStrategy strategy =
                                                          RedirectStrategy::kStaticSplit);
 
-/// Lowers a ring AllReduce over an explicit member list to an optical
-/// schedule: 2*(m-1) phases (reduce-scatter then all-gather), each phase
-/// sending N/m bytes from member[i] to member[(i+1) % m] on a dedicated
-/// circuit at `rate`, with the first phase paying `reconfig_delay`.
-///
-/// The member list is *whatever chips survive*, in ring order — this is the
-/// elastic-degradation builder the runtime layer uses after a chip death
-/// exhausts respare: the ring shrinks to the survivors and the job continues
-/// at whatever `rate` the bridging circuits sustain instead of failing.
-/// Fewer than two members yields an empty schedule (nothing to exchange).
-[[nodiscard]] Schedule build_elastic_ring_schedule(const std::vector<topo::TpuId>& members,
-                                                   DataSize n, Bandwidth rate,
-                                                   Duration reconfig_delay);
+/// AllGather over the slice's plan rings: the mirror image of
+/// ReduceScatter — same step count, same per-step bytes, stages in reverse
+/// order (the gather grows the shard each stage), one reconfiguration on
+/// each optical stage's first phase.
+[[nodiscard]] Schedule build_all_gather_schedule(const topo::TpuCluster& cluster,
+                                                 const topo::Slice& slice, DataSize n,
+                                                 Interconnect interconnect,
+                                                 const CostParams& params,
+                                                 RedirectStrategy strategy =
+                                                     RedirectStrategy::kStaticSplit);
+
+/// AllReduce = ReduceScatter followed by AllGather on the same rings.  With
+/// the static-split strategy the circuits persist across both halves, so
+/// only the first half pays reconfiguration.
+[[nodiscard]] Schedule build_all_reduce_schedule(const topo::TpuCluster& cluster,
+                                                 const topo::Slice& slice, DataSize n,
+                                                 Interconnect interconnect,
+                                                 const CostParams& params,
+                                                 RedirectStrategy strategy =
+                                                     RedirectStrategy::kStaticSplit);
+
+/// Pipelined ring broadcast from the slice's first chip: the pipeline
+/// broadcast (group_schedules.hpp) over a serpentine covering every chip,
+/// with `chunks` pieces: p-1+chunks-1 phases.  Optical transfers ride the
+/// full chip bandwidth behind one reconfiguration; electrical ones follow
+/// the serpentine's links.  Zero chunks yields an empty schedule.
+[[nodiscard]] Schedule build_broadcast_schedule(const topo::TpuCluster& cluster,
+                                                const topo::Slice& slice, DataSize n,
+                                                unsigned chunks,
+                                                Interconnect interconnect,
+                                                const CostParams& params);
 
 }  // namespace lp::coll

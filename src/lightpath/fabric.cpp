@@ -49,32 +49,32 @@ Bandwidth Fabric::per_wavelength_rate() const {
   return phys::Modulator{config_.modulator}.line_rate();
 }
 
-std::vector<Direction> Fabric::xy_route(const Wafer& wafer, TileId from, TileId to) {
+std::vector<Direction> Fabric::xy_route(const Wafer& wafer, TileId from, TileId to,
+                                        bool rows_first) {
   std::vector<Direction> hops;
   TileCoord c = wafer.coord_of(from);
   const TileCoord goal = wafer.coord_of(to);
-  while (c.col != goal.col) {
-    hops.push_back(c.col < goal.col ? Direction::kEast : Direction::kWest);
-    c.col += c.col < goal.col ? 1 : -1;
-  }
-  while (c.row != goal.row) {
-    hops.push_back(c.row < goal.row ? Direction::kSouth : Direction::kNorth);
-    c.row += c.row < goal.row ? 1 : -1;
-  }
+  const auto cols = [&] {
+    while (c.col != goal.col) {
+      hops.push_back(c.col < goal.col ? Direction::kEast : Direction::kWest);
+      c.col += c.col < goal.col ? 1 : -1;
+    }
+  };
+  const auto rows = [&] {
+    while (c.row != goal.row) {
+      hops.push_back(c.row < goal.row ? Direction::kSouth : Direction::kNorth);
+      c.row += c.row < goal.row ? 1 : -1;
+    }
+  };
+  if (rows_first) rows();
+  cols();
+  rows();
   return hops;
 }
 
-Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wavelengths) {
-  if (wavelengths == 0) return Err("zero wavelengths requested");
-  if (a.wafer >= wafers_.size() || b.wafer >= wafers_.size())
-    return Err("wafer id out of range");
-  if (a == b) return Err("source and destination tile are the same");
-  if (a.wafer == b.wafer) return connect_same_wafer(a, b, wavelengths);
-  return connect_cross_wafer(a, b, wavelengths);
-}
-
-Result<CircuitId> Fabric::connect_same_wafer(GlobalTile a, GlobalTile b,
-                                             std::uint32_t wavelengths) {
+template <typename Route>
+Result<CircuitId> Fabric::commit_same_wafer(GlobalTile a, GlobalTile b,
+                                            std::uint32_t wavelengths, Route&& route) {
   Wafer& w = wafers_[a.wafer];
   if (!w.reserve_tx(a.tile, wavelengths))
     return Err("tile " + std::to_string(a.tile) + ": not enough free Tx wavelengths");
@@ -82,7 +82,7 @@ Result<CircuitId> Fabric::connect_same_wafer(GlobalTile a, GlobalTile b,
     w.release_tx(a.tile, wavelengths);
     return Err("tile " + std::to_string(b.tile) + ": not enough free Rx wavelengths");
   }
-  auto hops = xy_route(w, a.tile, b.tile);
+  std::vector<Direction> hops = route();
   if (auto reserved = w.reserve_path(a.tile, hops, wavelengths); !reserved) {
     w.release_tx(a.tile, wavelengths);
     w.release_rx(b.tile, wavelengths);
@@ -96,6 +96,18 @@ Result<CircuitId> Fabric::connect_same_wafer(GlobalTile a, GlobalTile b,
   c.segments.push_back(Circuit::Segment{a.wafer, a.tile, std::move(hops)});
   reconfig_.reconfigure(c.mzis_to_program());
   return register_circuit(std::move(c));
+}
+
+Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wavelengths) {
+  if (wavelengths == 0) return Err("zero wavelengths requested");
+  if (a.wafer >= wafers_.size() || b.wafer >= wafers_.size())
+    return Err("wafer id out of range");
+  if (a == b) return Err("source and destination tile are the same");
+  if (a.wafer == b.wafer) {
+    return commit_same_wafer(a, b, wavelengths,
+                             [&] { return xy_route(wafers_[a.wafer], a.tile, b.tile); });
+  }
+  return connect_cross_wafer(a, b, wavelengths);
 }
 
 Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
@@ -105,7 +117,7 @@ Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
   if (a.wafer != b.wafer) return Err("connect_via requires a same-wafer path");
   if (a.wafer >= wafers_.size()) return Err("wafer id out of range");
   if (a == b) return Err("source and destination tile are the same");
-  Wafer& w = wafers_[a.wafer];
+  const Wafer& w = wafers_[a.wafer];
   // Validate the path endpoint.
   TileId at = a.tile;
   for (Direction d : hops) {
@@ -114,26 +126,7 @@ Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
     at = *next;
   }
   if (at != b.tile) return Err("path does not end at the destination tile");
-
-  if (!w.reserve_tx(a.tile, wavelengths))
-    return Err("tile " + std::to_string(a.tile) + ": not enough free Tx wavelengths");
-  if (!w.reserve_rx(b.tile, wavelengths)) {
-    w.release_tx(a.tile, wavelengths);
-    return Err("tile " + std::to_string(b.tile) + ": not enough free Rx wavelengths");
-  }
-  if (auto reserved = w.reserve_path(a.tile, hops, wavelengths); !reserved) {
-    w.release_tx(a.tile, wavelengths);
-    w.release_rx(b.tile, wavelengths);
-    return Err("lane reservation failed: " + reserved.error().message);
-  }
-
-  Circuit c;
-  c.src = a;
-  c.dst = b;
-  c.wavelengths = wavelengths;
-  c.segments.push_back(Circuit::Segment{a.wafer, a.tile, std::move(hops)});
-  reconfig_.reconfigure(c.mzis_to_program());
-  return register_circuit(std::move(c));
+  return commit_same_wafer(a, b, wavelengths, [&] { return std::move(hops); });
 }
 
 std::optional<Fabric::FiberChoice> Fabric::find_fiber(WaferId from, WaferId to,

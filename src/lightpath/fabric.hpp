@@ -110,9 +110,10 @@ class Fabric {
   /// a report that does not close.
   [[nodiscard]] phys::LinkBudgetReport circuit_budget(CircuitId id) const;
 
-  /// Dimension-ordered route on one wafer: all column moves then row moves.
+  /// Dimension-ordered route on one wafer: all column moves then row moves
+  /// (XY), or the rows first when `rows_first` (YX).
   [[nodiscard]] static std::vector<Direction> xy_route(const Wafer& wafer, TileId from,
-                                                       TileId to);
+                                                       TileId to, bool rows_first = false);
 
   [[nodiscard]] ReconfigController& reconfig() { return reconfig_; }
   [[nodiscard]] const ReconfigController& reconfig() const { return reconfig_; }
@@ -148,8 +149,13 @@ class Fabric {
   [[nodiscard]] std::optional<FiberChoice> find_fiber(WaferId from, WaferId to,
                                                       std::uint32_t fibers) const;
 
-  Result<CircuitId> connect_same_wafer(GlobalTile a, GlobalTile b,
-                                       std::uint32_t wavelengths);
+  /// Reserves Tx at a, Rx at b and then the lanes along route() on their
+  /// wafer, and registers the circuit; releases what it took if a step
+  /// fails.  route() runs only once Tx and Rx are held, so a connect that
+  /// fails for want of lambdas walks no route.
+  template <typename Route>
+  Result<CircuitId> commit_same_wafer(GlobalTile a, GlobalTile b,
+                                      std::uint32_t wavelengths, Route&& route);
   Result<CircuitId> connect_cross_wafer(GlobalTile a, GlobalTile b,
                                         std::uint32_t wavelengths);
 

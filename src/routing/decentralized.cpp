@@ -8,39 +8,10 @@
 
 namespace lp::routing {
 
-using fabric::Direction;
 using fabric::TileId;
 using fabric::Wafer;
 
 namespace {
-
-/// XY or YX dimension-ordered path, chosen by `yx_first`.
-std::vector<Direction> ordered_route(const Wafer& wafer, TileId from, TileId to,
-                                     bool yx_first) {
-  std::vector<Direction> hops;
-  auto c = wafer.coord_of(from);
-  const auto goal = wafer.coord_of(to);
-  const auto do_cols = [&] {
-    while (c.col != goal.col) {
-      hops.push_back(c.col < goal.col ? Direction::kEast : Direction::kWest);
-      c.col += c.col < goal.col ? 1 : -1;
-    }
-  };
-  const auto do_rows = [&] {
-    while (c.row != goal.row) {
-      hops.push_back(c.row < goal.row ? Direction::kSouth : Direction::kNorth);
-      c.row += c.row < goal.row ? 1 : -1;
-    }
-  };
-  if (yx_first) {
-    do_rows();
-    do_cols();
-  } else {
-    do_cols();
-    do_rows();
-  }
-  return hops;
-}
 
 struct DemandState {
   Demand demand;
@@ -90,7 +61,7 @@ DecentralizedReport run_decentralized_setup(const fabric::Fabric& fab,
     }
     Wafer& w = wafers[d.src.wafer];
     const bool yx = st.retries % 2 == 1;  // alternate path variant per retry
-    const auto hops = ordered_route(w, d.src.tile, d.dst.tile, yx);
+    const auto hops = fabric::Fabric::xy_route(w, d.src.tile, d.dst.tile, yx);
 
     // Walk hop-by-hop until a reservation fails.
     TileId at = d.src.tile;

@@ -1,43 +1,13 @@
 #include "routing/wdm_planner.hpp"
 
+#include "lightpath/fabric.hpp"
 #include "routing/router.hpp"
 
 namespace lp::routing {
 
 using fabric::Direction;
-using fabric::TileId;
+using fabric::Fabric;
 using fabric::Wafer;
-
-namespace {
-
-std::vector<Direction> ordered_route(const Wafer& wafer, TileId from, TileId to,
-                                     bool yx_first) {
-  std::vector<Direction> hops;
-  auto c = wafer.coord_of(from);
-  const auto goal = wafer.coord_of(to);
-  const auto do_cols = [&] {
-    while (c.col != goal.col) {
-      hops.push_back(c.col < goal.col ? Direction::kEast : Direction::kWest);
-      c.col += c.col < goal.col ? 1 : -1;
-    }
-  };
-  const auto do_rows = [&] {
-    while (c.row != goal.row) {
-      hops.push_back(c.row < goal.row ? Direction::kSouth : Direction::kNorth);
-      c.row += c.row < goal.row ? 1 : -1;
-    }
-  };
-  if (yx_first) {
-    do_rows();
-    do_cols();
-  } else {
-    do_cols();
-    do_rows();
-  }
-  return hops;
-}
-
-}  // namespace
 
 WdmPlanner::WdmPlanner(const Wafer& wafer, std::uint32_t channels)
     : wafer_{wafer}, ledger_{wafer, channels} {}
@@ -47,8 +17,9 @@ Result<WdmCircuit> WdmPlanner::place(const Demand& demand) {
     return Err("WdmPlanner handles same-wafer demands only");
 
   std::vector<std::vector<Direction>> candidates;
-  candidates.push_back(ordered_route(wafer_, demand.src.tile, demand.dst.tile, false));
-  candidates.push_back(ordered_route(wafer_, demand.src.tile, demand.dst.tile, true));
+  candidates.push_back(Fabric::xy_route(wafer_, demand.src.tile, demand.dst.tile));
+  candidates.push_back(
+      Fabric::xy_route(wafer_, demand.src.tile, demand.dst.tile, /*rows_first=*/true));
   if (const auto routed = find_route(wafer_, demand.src.tile, demand.dst.tile)) {
     candidates.push_back(*routed);
   }

@@ -80,6 +80,16 @@ void erode(std::span<std::uint64_t> m, std::size_t step, std::int32_t len) {
 
 }  // namespace
 
+std::optional<Error> outside_rack(const TpuCluster& cluster, const Slice& slice) {
+  if (auto bad = bad_request(cluster, slice.rack, slice.shape)) return bad;
+  const Shape& rs = cluster.config().rack_shape;
+  for (std::size_t d = 0; d < kDims; ++d) {
+    if (slice.offset[d] < 0 || slice.offset[d] + slice.shape[d] > rs[d])
+      return Err("slice does not fit in rack along dim " + std::to_string(d));
+  }
+  return std::nullopt;
+}
+
 SliceAllocator::SliceAllocator(TpuCluster& cluster)
     : cluster_{cluster},
       owner_(static_cast<std::size_t>(cluster.chip_count()), -1) {
@@ -169,14 +179,10 @@ SliceId SliceAllocator::place(RackId rack, Coord offset, Shape shape) {
 }
 
 Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape shape) {
-  if (auto bad = bad_request(cluster_, rack, shape)) return std::move(*bad);
-  const Shape& rs = cluster_.config().rack_shape;
-  for (std::size_t d = 0; d < kDims; ++d) {
-    if (offset[d] < 0 || offset[d] + shape[d] > rs[d])
-      return Err("slice does not fit in rack along dim " + std::to_string(d));
-  }
+  const Slice s{-1, rack, offset, shape};
+  if (auto bad = outside_rack(cluster_, s)) return std::move(*bad);
   TpuId busy = -1;
-  for_each_chip(Slice{-1, rack, offset, shape}, [&](TpuId chip) {
+  for_each_chip(s, [&](TpuId chip) {
     if (busy < 0 && cluster_.state(chip) != ChipState::kFree) busy = chip;
   });
   if (busy >= 0) return Err("chip " + std::to_string(busy) + " is not free");

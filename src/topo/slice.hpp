@@ -39,6 +39,13 @@ struct Slice {
   [[nodiscard]] bool spans_dimension(std::size_t d, const Shape& rack_shape) const;
 };
 
+/// Why `slice` is not a box inside one rack of `cluster`: its rack is out of
+/// range, an extent is below 1, or it leaves the rack along some dimension.
+/// nullopt when it fits.  SliceAllocator::allocate_at and the slice-level
+/// collective builders decide with this one check.
+[[nodiscard]] std::optional<Error> outside_rack(const TpuCluster& cluster,
+                                                const Slice& slice);
+
 /// Free-space accounting for one rack: how many chips are free and the
 /// largest slice shape still placeable there.  The gap between the two is
 /// fragmentation — free chips stranded in holes no regular slice can use.

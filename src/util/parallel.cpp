@@ -10,6 +10,8 @@
 namespace lp::util {
 
 struct ThreadPool::State {
+  /// Set by the one run() whose job the fields below describe.
+  std::atomic<bool> busy{false};
   std::mutex mutex;
   std::condition_variable wake;      ///< workers wait here for a job
   std::condition_variable done;      ///< the caller waits here for completion
@@ -53,7 +55,12 @@ thread_local const ThreadPool* t_inside_pool = nullptr;
 
 void ThreadPool::run(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn) {
   if (n == 0) return;
-  if (worker_count_ == 0 || n == 1 || t_inside_pool == this) {
+  // The job fields serve one caller at a time: a run() that finds another
+  // job in flight, another thread's or an outer one of its own, executes
+  // inline, as a nested call does.
+  bool idle = false;
+  if (worker_count_ == 0 || n == 1 || t_inside_pool == this ||
+      !state_->busy.compare_exchange_strong(idle, true, std::memory_order_acquire)) {
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
@@ -67,16 +74,18 @@ void ThreadPool::run(std::size_t n, const std::function<void(std::size_t, unsign
   }
   state_->wake.notify_all();
   // The caller participates as worker 0.
+  const ThreadPool* const outer = t_inside_pool;
   t_inside_pool = this;
   for (;;) {
     const std::size_t i = state_->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     fn(i, 0);
   }
-  t_inside_pool = nullptr;
+  t_inside_pool = outer;
   std::unique_lock lock{state_->mutex};
   state_->done.wait(lock, [&] { return state_->active == 0; });
   state_->job = nullptr;
+  state_->busy.store(false, std::memory_order_release);
 }
 
 void ThreadPool::worker_loop(unsigned worker) {

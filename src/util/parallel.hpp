@@ -42,8 +42,9 @@ class ThreadPool {
   /// [0, size()) and identifies the executing stream, so callers can keep one
   /// scratch workspace per worker.  The call blocks until all tasks finish;
   /// the calling thread participates as worker 0.  Task bodies must not
-  /// throw; nested run() calls on the same pool execute inline on the
-  /// calling task's thread (worker index 0).
+  /// throw; nested run() calls on the same pool, and calls from other
+  /// threads while a job is in flight, execute inline on the calling
+  /// thread (worker index 0).
   void run(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn);
 
   /// The process-wide default pool (sized to hardware concurrency).

@@ -36,6 +36,7 @@ TEST_F(Table1, PlanIsOneSnakeRingOverEightChips) {
   EXPECT_TRUE(plan_.stages[0].snake);
   EXPECT_EQ(plan_.stages[0].ring_size, 8);
   EXPECT_EQ(plan_.chip_count, 8);
+  EXPECT_EQ(plan_.alpha_steps(), 7);
 }
 
 TEST_F(Table1, ElectricalAlphaIs7Steps) {

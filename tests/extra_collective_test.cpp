@@ -1,12 +1,13 @@
 // Tests for the AllGather / AllReduce / Broadcast schedules, the tree /
-// halving group schedules on arbitrary survivor sets, and the crosstalk
-// model.
+// halving group schedules on arbitrary survivor sets, the slice-level
+// builders' answer to slices outside their rack, and the crosstalk model.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "collective/extra_schedules.hpp"
+#include "collective/alltoall.hpp"
 #include "collective/group_schedules.hpp"
+#include "collective/schedule.hpp"
 #include "phys/crosstalk.hpp"
 #include "phys/link_budget.hpp"
 #include "sim/flow_sim.hpp"
@@ -53,6 +54,21 @@ TEST_F(Schedules, AllGatherOpticalReconfigsOncePerStage) {
   EXPECT_EQ(reconfigs, 2);
   // And the first phase of the schedule carries one.
   EXPECT_GT(ag.phases.front().pre_delay.to_seconds(), 0.0);
+}
+
+TEST_F(Schedules, AllGatherReconfiguresOnEachStagesFirstPhase) {
+  // Slice-3 runs two 4-rings: phases 0-2, then 3-5.  The reconfiguration
+  // sits on each stage's first phase for any buffer, an empty one included,
+  // where every stage carries the same zero bytes per step.
+  for (const DataSize n : {n_, DataSize::zero()}) {
+    const auto ag = coll::build_all_gather_schedule(cluster_, slice3_, n,
+                                                    Interconnect::kOptical, params_);
+    ASSERT_EQ(ag.phases.size(), 6u);
+    for (std::size_t i = 0; i < ag.phases.size(); ++i) {
+      EXPECT_EQ(ag.phases[i].pre_delay, i % 3 == 0 ? params_.reconfig : Duration::zero())
+          << "n=" << n.to_bytes() << " phase " << i;
+    }
+  }
 }
 
 TEST_F(Schedules, AllReduceMeasuredMatchesAnalytic) {
@@ -241,6 +257,57 @@ TEST_F(GroupSchedules, GatherMirrorsScatterOnSurvivorSets) {
     EXPECT_LT(ag.phases.front().transfers[0].bytes.to_bytes(),
               ag.phases.back().transfers[0].bytes.to_bytes());
   }
+}
+
+// --- Slices outside their rack ------------------------------------------------
+//
+// Lowered as they stand, these slices would schedule chips of the next
+// rack, chip ids past the end of the pod, or walk the torus until an
+// allocation fails.  Every slice-level builder answers them as it answers
+// other degenerate input: with an empty schedule.
+
+TEST(OutOfRack, EverySliceBuilderReturnsAnEmptySchedule) {
+  const TpuCluster cluster;
+  const coll::CostParams params;
+  const DataSize n = DataSize::mib(64);
+  const Slice outside[] = {
+      {0, 0, Coord{{1, 0, 0}}, Shape{{4, 4, 4}}},   // overflows into rack 1
+      {0, 0, Coord{{0, 0, 3}}, Shape{{4, 2, 2}}},   // overflows along z
+      {0, 0, Coord{{-1, 0, 0}}, Shape{{2, 2, 2}}},  // negative offset
+      {0, 0, Coord{{0, 0, 0}}, Shape{{4, 0, 4}}},   // zero extent
+      {0, 64, Coord{{0, 0, 0}}, Shape{{4, 4, 4}}},  // rack past the pod
+      {0, -1, Coord{{0, 0, 0}}, Shape{{2, 2, 2}}},  // negative rack
+  };
+  for (const Slice& slice : outside) {
+    ASSERT_TRUE(topo::outside_rack(cluster, slice).has_value());
+    const auto demand =
+        coll::uniform_all_to_all(static_cast<std::size_t>(slice.chip_count()), n);
+    for (const Interconnect ic : {Interconnect::kElectrical, Interconnect::kOptical}) {
+      for (const coll::RedirectStrategy strategy :
+           {coll::RedirectStrategy::kStaticSplit, coll::RedirectStrategy::kPerStageFull}) {
+        EXPECT_TRUE(coll::build_reduce_scatter_schedule(cluster, slice, n, ic, params,
+                                                        strategy)
+                        .phases.empty());
+        EXPECT_TRUE(
+            coll::build_all_gather_schedule(cluster, slice, n, ic, params, strategy)
+                .phases.empty());
+        EXPECT_TRUE(
+            coll::build_all_reduce_schedule(cluster, slice, n, ic, params, strategy)
+                .phases.empty());
+      }
+      EXPECT_TRUE(
+          coll::build_broadcast_schedule(cluster, slice, n, 4, ic, params).phases.empty());
+      EXPECT_TRUE(
+          coll::build_all_to_all_schedule(cluster, slice, demand, ic, params).phases.empty());
+    }
+  }
+  // A slice flush against the rack's far corner still fits.
+  const Slice corner{0, 63, Coord{{0, 2, 3}}, Shape{{4, 2, 1}}};
+  EXPECT_FALSE(topo::outside_rack(cluster, corner).has_value());
+  EXPECT_EQ(coll::build_reduce_scatter_schedule(cluster, corner, n,
+                                                Interconnect::kElectrical, params)
+                .phases.size(),
+            7u);
 }
 
 // --- Crosstalk ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <utility>
 
 #include "lightpath/circuit.hpp"
@@ -206,10 +207,40 @@ TEST(Fabric, XyRouteShape) {
   // Column moves first.
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(hops[i], Direction::kEast);
   for (std::size_t i = 5; i < 8; ++i) EXPECT_EQ(hops[i], Direction::kSouth);
+
+  // Every tile pair, both orders: the route reaches the destination in
+  // Manhattan hops, columns first for XY and rows first for YX.
+  const auto is_row_move = [](Direction d) {
+    return d == Direction::kNorth || d == Direction::kSouth;
+  };
+  for (TileId from = 0; from < wafer.tile_count(); ++from) {
+    for (TileId to = 0; to < wafer.tile_count(); ++to) {
+      const TileCoord f = wafer.coord_of(from);
+      const TileCoord t = wafer.coord_of(to);
+      const auto manhattan =
+          static_cast<std::size_t>(std::abs(t.row - f.row) + std::abs(t.col - f.col));
+      for (const bool rows_first : {false, true}) {
+        const auto route = Fabric::xy_route(wafer, from, to, rows_first);
+        ASSERT_EQ(route.size(), manhattan) << from << "->" << to << " yx=" << rows_first;
+        TileId at = from;
+        for (std::size_t i = 0; i < route.size(); ++i) {
+          const auto next = wafer.neighbor(at, route[i]);
+          ASSERT_TRUE(next.has_value()) << from << "->" << to << " hop " << i;
+          at = *next;
+          // The first dimension's moves all come before the second's.
+          if (i > 0 && is_row_move(route[i - 1]) != is_row_move(route[i])) {
+            EXPECT_EQ(is_row_move(route[i - 1]), rows_first) << from << "->" << to;
+          }
+        }
+        EXPECT_EQ(at, to) << from << "->" << to << " yx=" << rows_first;
+      }
+    }
+  }
 }
 
 TEST(Fabric, ConnectAndDisconnectRestoresResources) {
   Fabric fab;
+  EXPECT_EQ(fab.wafer(0).tile_count(), 32u);
   const GlobalTile a{0, 0};
   const GlobalTile b{0, 9};
   const auto before_lanes = fab.wafer(0).total_lanes_used();

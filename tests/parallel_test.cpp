@@ -51,6 +51,36 @@ TEST(ThreadPool, NestedRunExecutesInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 8 * 4);
 }
 
+TEST(ThreadPool, ConcurrentCallersEachRunTheirOwnJob) {
+  // Several threads may call run() on one pool at once: every trial of a
+  // cluster sweep on a local pool plans morphs through the shared pool.
+  // Each call must run its own tasks, each exactly once, and return.
+  ThreadPool pool{4};
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 300;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(2 + (7 * c + r) % 31));
+        pool.run(hits.size(), [&](std::size_t task, unsigned) {
+          if (task < hits.size()) {
+            hits[task].fetch_add(1, std::memory_order_relaxed);
+          } else {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(ThreadPool, ZeroTasksReturnsImmediately) {
   ThreadPool pool{3};
   bool called = false;

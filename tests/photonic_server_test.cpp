@@ -17,6 +17,7 @@ TEST(PhotonicServer, ConnectByAcceleratorId) {
 
 TEST(PhotonicServer, RejectsOutOfRange) {
   PhotonicServer server{8};
+  EXPECT_EQ(server.accelerator_count(), 8u);
   EXPECT_FALSE(server.connect(0, 8, 1).ok());
   EXPECT_FALSE(server.connect(9, 0, 1).ok());
 }

@@ -294,6 +294,34 @@ TEST(Allocator, RejectsOverlapAndOutOfBounds) {
   EXPECT_FALSE(alloc.allocate_at(0, Coord{{2, 0, 0}}, Shape{{4, 1, 1}}).ok());
 }
 
+TEST(OutOfRack, NamesTheFirstViolationAsAllocateAtDoes) {
+  TpuCluster cluster;
+  SliceAllocator alloc{cluster};
+  struct Case {
+    Slice slice;
+    const char* message;
+  };
+  const Case cases[] = {
+      {{-1, 64, Coord{{0, 0, 0}}, Shape{{1, 1, 1}}}, "rack 64 is out of range"},
+      {{-1, -1, Coord{{0, 0, 0}}, Shape{{1, 1, 1}}}, "rack -1 is out of range"},
+      {{-1, 0, Coord{{0, 0, 0}}, Shape{{1, 0, 1}}}, "slice extent below 1 along dim 1"},
+      {{-1, 0, Coord{{1, 0, 0}}, Shape{{4, 4, 4}}}, "slice does not fit in rack along dim 0"},
+      {{-1, 0, Coord{{0, 0, 3}}, Shape{{4, 2, 2}}}, "slice does not fit in rack along dim 2"},
+      {{-1, 0, Coord{{0, -1, 0}}, Shape{{2, 2, 2}}}, "slice does not fit in rack along dim 1"},
+  };
+  for (const Case& c : cases) {
+    const std::optional<Error> why = outside_rack(cluster, c.slice);
+    ASSERT_TRUE(why.has_value()) << c.message;
+    EXPECT_EQ(why->message, c.message);
+    const auto placed = alloc.allocate_at(c.slice.rack, c.slice.offset, c.slice.shape);
+    ASSERT_FALSE(placed.ok()) << c.message;
+    EXPECT_EQ(placed.error().message, c.message);
+  }
+  EXPECT_EQ(cluster.free_count(), cluster.chip_count());
+  // Flush against the last rack's far corner is inside.
+  EXPECT_FALSE(outside_rack(cluster, Slice{-1, 63, Coord{{2, 0, 3}}, Shape{{2, 4, 1}}}));
+}
+
 TEST(Allocator, ReleaseFreesChips) {
   TpuCluster cluster;
   SliceAllocator alloc{cluster};
