@@ -59,7 +59,7 @@ inline std::string fmt_bytes(double bytes) {
 }
 
 /// The three latency quantiles every serving/SLO table reports, computed
-/// with util::percentile (linear interpolation) so bench tables and library
+/// with lp::percentiles (linear interpolation) so bench tables and library
 /// reports agree bit-for-bit on the same sample set.
 struct Tail {
   double p50{0.0};
@@ -68,7 +68,8 @@ struct Tail {
 };
 
 inline Tail tail_of(std::span<const double> xs) {
-  return Tail{percentile(xs, 50.0), percentile(xs, 99.0), percentile(xs, 99.9)};
+  const std::vector<double> q = percentiles(xs, {50.0, 99.0, 99.9});
+  return Tail{q[0], q[1], q[2]};
 }
 
 /// Formats a Tail of seconds as "p50 x / p99 y / p999 z".

@@ -905,8 +905,9 @@ ClusterReport ClusterScheduler::run() {
     double sum = 0.0;
     for (const double d : queue_delays_) sum += d;
     report_.queue_delay_mean_s = sum / static_cast<double>(queue_delays_.size());
-    report_.queue_delay_p50_s = percentile(queue_delays_, 50.0);
-    report_.queue_delay_p99_s = percentile(queue_delays_, 99.0);
+    const std::vector<double> q = percentiles(queue_delays_, {50.0, 99.0});
+    report_.queue_delay_p50_s = q[0];
+    report_.queue_delay_p99_s = q[1];
   }
 
   // Outcome digest: chip states, ledger, OCS occupancy, work totals.

@@ -4,61 +4,51 @@
 
 namespace lp::core {
 
-using fabric::CircuitId;
 using fabric::GlobalTile;
 
 HostStack::HostStack(fabric::Fabric& fab, HostStackParams params)
-    : fabric_{fab}, params_{params} {}
+    : fabric_{fab},
+      params_{params},
+      tiles_per_wafer_{static_cast<std::uint32_t>(fab.config().wafer.rows *
+                                                  fab.config().wafer.cols)},
+      peers_(std::size_t{fab.wafer_count()} * tiles_per_wafer_) {}
 
 bool HostStack::has_circuit(GlobalTile src, GlobalTile dst) const {
-  return circuits_.contains(Key{src, dst});
+  if (!fabric_.contains(src)) return false;
+  const std::vector<Peer>& peers = peers_[index_of(src)];
+  return std::any_of(peers.begin(), peers.end(), [&](const Peer& p) { return p.dst == dst; });
 }
 
-Result<CircuitId> HostStack::establish(const Key& key) {
-  return fabric_.connect(key.src, key.dst, params_.wavelengths_per_circuit);
+void HostStack::evict_lru(std::vector<Peer>& peers) {
+  fabric_.disconnect(peers.back().id);
+  peers.pop_back();
+  ++stats_.evictions;
 }
 
 Result<Duration> HostStack::send(GlobalTile src, GlobalTile dst, DataSize bytes) {
+  if (params_.max_peers == 0) return Err("max_peers is 0: no circuit can be cached");
+  if (!fabric_.contains(src) || !fabric_.contains(dst)) return Err("tile off the fabric");
   ++stats_.messages;
-  const Key key{src, dst};
-  SrcState& state = sources_[src];
+  std::vector<Peer>& peers = peers_[index_of(src)];
 
   Duration latency = Duration::zero();
-  auto it = circuits_.find(key);
-  if (it != circuits_.end()) {
+  const auto hit =
+      std::find_if(peers.begin(), peers.end(), [&](const Peer& p) { return p.dst == dst; });
+  if (hit != peers.end()) {
     ++stats_.hits;
-    // Refresh LRU position.
-    state.lru.remove(key);
-    state.lru.push_front(key);
+    std::rotate(peers.begin(), hit, hit + 1);
   } else {
     ++stats_.misses;
     // Evict until a port (and the Tx lambdas) are available.
-    auto attempt = establish(key);
-    while (!attempt && !state.lru.empty()) {
-      const Key victim = state.lru.back();
-      state.lru.pop_back();
-      const auto vit = circuits_.find(victim);
-      if (vit != circuits_.end()) {
-        fabric_.disconnect(vit->second);
-        circuits_.erase(vit);
-        ++stats_.evictions;
-      }
-      attempt = establish(key);
+    auto attempt = fabric_.connect(src, dst, params_.wavelengths_per_circuit);
+    while (!attempt && !peers.empty()) {
+      evict_lru(peers);
+      attempt = fabric_.connect(src, dst, params_.wavelengths_per_circuit);
     }
     if (!attempt) return Err("cannot establish circuit: " + attempt.error().message);
     // Port-bound eviction even when resources would allow more peers.
-    while (state.lru.size() >= params_.max_peers) {
-      const Key victim = state.lru.back();
-      state.lru.pop_back();
-      const auto vit = circuits_.find(victim);
-      if (vit != circuits_.end()) {
-        fabric_.disconnect(vit->second);
-        circuits_.erase(vit);
-        ++stats_.evictions;
-      }
-    }
-    circuits_.emplace(key, attempt.value());
-    state.lru.push_front(key);
+    while (peers.size() >= params_.max_peers) evict_lru(peers);
+    peers.insert(peers.begin(), Peer{dst, attempt.value()});
     const fabric::Circuit* c = fabric_.circuit(attempt.value());
     const Duration setup =
         fabric_.reconfig().batch_latency(c != nullptr ? c->mzis_to_program() : 1);
@@ -66,8 +56,9 @@ Result<Duration> HostStack::send(GlobalTile src, GlobalTile dst, DataSize bytes)
     latency += setup;
   }
 
-  const CircuitId id = circuits_.at(key);
-  const Bandwidth rate = fabric_.circuit_bandwidth(id);
+  // The rate is read on every send, so a circuit torn down behind the
+  // stack's back transfers at zero rate.
+  const Bandwidth rate = fabric_.circuit_bandwidth(peers.front().id);
   const Duration transfer = transfer_time(bytes, rate);
   stats_.transfer_time += transfer;
   latency += transfer;
@@ -75,9 +66,10 @@ Result<Duration> HostStack::send(GlobalTile src, GlobalTile dst, DataSize bytes)
 }
 
 void HostStack::flush() {
-  for (const auto& [key, id] : circuits_) fabric_.disconnect(id);
-  circuits_.clear();
-  sources_.clear();
+  for (std::vector<Peer>& peers : peers_) {
+    for (const Peer& p : peers) fabric_.disconnect(p.id);
+    peers.clear();
+  }
 }
 
 }  // namespace lp::core

@@ -9,7 +9,11 @@
 // HostStack keeps an LRU cache of live circuits per source chip, bounded by
 // the tile's SerDes port count (the paper: "the number of connections that
 // can be made by one LIGHTPATH tile is limited by the number of SerDes
-// ports").  send() returns the message's latency:
+// ports").  The cache is one table indexed by the source's flat tile index
+// (wafer x tiles-per-wafer + tile); each entry lists that source's
+// (destination, circuit) pairs most recently used first, so a hit scans at
+// most max_peers entries and an eviction pops the back.  send() returns the
+// message's latency:
 //
 //   hit:   transfer at the circuit's rate
 //   miss:  r (+ eviction teardown) + transfer
@@ -20,8 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "lightpath/fabric.hpp"
@@ -58,7 +60,9 @@ class HostStack {
 
   /// Sends `bytes` from `src` to `dst`, establishing (and possibly
   /// evicting) circuits as needed.  Returns the message latency, or an
-  /// error if no circuit can be established even after eviction.
+  /// error if no circuit can be established even after eviction.  A tile
+  /// off the fabric or max_peers == 0 is an error that counts no message and
+  /// touches no circuit.
   Result<Duration> send(fabric::GlobalTile src, fabric::GlobalTile dst, DataSize bytes);
 
   /// Whether a live circuit src->dst exists (no side effects).
@@ -71,33 +75,23 @@ class HostStack {
   void reset_stats() { stats_ = HostStackStats{}; }
 
  private:
-  struct Key {
-    fabric::GlobalTile src, dst;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return (static_cast<std::size_t>(k.src.wafer) << 48) ^
-             (static_cast<std::size_t>(k.src.tile) << 32) ^
-             (static_cast<std::size_t>(k.dst.wafer) << 16) ^ k.dst.tile;
-    }
-  };
-  struct SrcState {
-    /// LRU order of destination keys, most recent at front.
-    std::list<Key> lru;
-  };
-  struct SrcHash {
-    std::size_t operator()(const fabric::GlobalTile& t) const {
-      return (static_cast<std::size_t>(t.wafer) << 32) ^ t.tile;
-    }
+  struct Peer {
+    fabric::GlobalTile dst;
+    fabric::CircuitId id;
   };
 
-  Result<fabric::CircuitId> establish(const Key& key);
+  /// Flat index of an on-fabric tile: wafer x tiles-per-wafer + tile.
+  [[nodiscard]] std::size_t index_of(fabric::GlobalTile t) const {
+    return std::size_t{t.wafer} * tiles_per_wafer_ + t.tile;
+  }
+  /// Tears down the least recently used of `peers`.
+  void evict_lru(std::vector<Peer>& peers);
 
   fabric::Fabric& fabric_;
   HostStackParams params_;
-  std::unordered_map<Key, fabric::CircuitId, KeyHash> circuits_;
-  std::unordered_map<fabric::GlobalTile, SrcState, SrcHash> sources_;
+  std::uint32_t tiles_per_wafer_;
+  /// Per source tile, by index_of(): its cached circuits, most recent first.
+  std::vector<std::vector<Peer>> peers_;
   HostStackStats stats_;
 };
 

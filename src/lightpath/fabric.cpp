@@ -100,8 +100,7 @@ Result<CircuitId> Fabric::commit_same_wafer(GlobalTile a, GlobalTile b,
 
 Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wavelengths) {
   if (wavelengths == 0) return Err("zero wavelengths requested");
-  if (a.wafer >= wafers_.size() || b.wafer >= wafers_.size())
-    return Err("wafer id out of range");
+  if (!contains(a) || !contains(b)) return Err("wafer or tile id out of range");
   if (a == b) return Err("source and destination tile are the same");
   if (a.wafer == b.wafer) {
     return commit_same_wafer(a, b, wavelengths,
@@ -115,7 +114,7 @@ Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
                                       std::uint32_t wavelengths) {
   if (wavelengths == 0) return Err("zero wavelengths requested");
   if (a.wafer != b.wafer) return Err("connect_via requires a same-wafer path");
-  if (a.wafer >= wafers_.size()) return Err("wafer id out of range");
+  if (!contains(a) || !contains(b)) return Err("wafer or tile id out of range");
   if (a == b) return Err("source and destination tile are the same");
   const Wafer& w = wafers_[a.wafer];
   // Validate the path endpoint.

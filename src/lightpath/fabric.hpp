@@ -63,6 +63,10 @@ class Fabric {
   }
   [[nodiscard]] Wafer& wafer(WaferId w) { return wafers_[w]; }
   [[nodiscard]] const Wafer& wafer(WaferId w) const { return wafers_[w]; }
+  /// Whether `t` names a tile of this fabric (wafer and tile in range).
+  [[nodiscard]] bool contains(GlobalTile t) const {
+    return t.wafer < wafers_.size() && t.tile < wafers_[t.wafer].tile_count();
+  }
 
   /// Declare a fiber bundle between two wafer-edge tiles.  Returns its index.
   std::size_t add_fiber_link(GlobalTile a, GlobalTile b, std::uint32_t fibers,
@@ -80,8 +84,8 @@ class Fabric {
   /// Establish a circuit carrying `wavelengths` lambdas from chip at `a` to
   /// chip at `b`.  Reserves Tx at a, Rx at b, lanes along the path, and
   /// (cross-wafer) one fiber per wavelength.  Accounts reconfiguration time
-  /// in the controller.  Fails without side effects if any resource is
-  /// unavailable.
+  /// in the controller.  Fails without side effects if either endpoint is
+  /// off the fabric or any resource is unavailable.
   Result<CircuitId> connect(GlobalTile a, GlobalTile b, std::uint32_t wavelengths);
 
   /// Like connect(), but along an explicit same-wafer hop path (produced by

@@ -535,8 +535,9 @@ ResilienceSweepReport run_resilience_sweep(const ResilienceSweepConfig& config) 
       pt.lost_detection_seconds /= n;
       pt.lost_recovery_seconds /= n;
       if (!recover_all.empty()) {
-        pt.recover_p50_seconds = percentile(recover_all, 50.0);
-        pt.recover_p99_seconds = percentile(recover_all, 99.0);
+        const std::vector<double> q = percentiles(recover_all, {50.0, 99.0});
+        pt.recover_p50_seconds = q[0];
+        pt.recover_p99_seconds = q[1];
       }
       out.points.push_back(pt);
     }

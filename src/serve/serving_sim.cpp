@@ -447,9 +447,10 @@ ServingReport ServingSim::run() {
   for (const Replica& rep : replicas_) {
     report_.in_flight_at_end += rep.batch.size() + rep.queue.size();
   }
-  report_.p50 = Duration::seconds(lp::percentile(latencies_, 50.0));
-  report_.p99 = Duration::seconds(lp::percentile(latencies_, 99.0));
-  report_.p999 = Duration::seconds(lp::percentile(latencies_, 99.9));
+  const std::vector<double> tail = lp::percentiles(latencies_, {50.0, 99.0, 99.9});
+  report_.p50 = Duration::seconds(tail[0]);
+  report_.p99 = Duration::seconds(tail[1]);
+  report_.p999 = Duration::seconds(tail[2]);
   if (!latencies_.empty()) {
     report_.max_latency = Duration::seconds(
         *std::max_element(latencies_.begin(), latencies_.end()));

@@ -70,16 +70,36 @@ std::string Histogram::to_ascii(std::size_t max_width) const {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
-                      static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return percentiles(xs, {p}).front();
+}
+
+std::vector<double> percentiles(std::span<const double> xs, const std::vector<double>& ps) {
+  // Nothing to interpolate: NaN for no sample, the sample itself for one.
+  const double none = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> out(ps.size(), xs.size() == 1 ? xs.front() : none);
+  if (xs.size() <= 1) return out;
+  std::vector<double> v(xs.begin(), xs.end());
+  std::vector<std::size_t> order(ps.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return ps[a] < ps[b]; });
+  // After each selection everything from `at` on is >= *at, so the next,
+  // higher rank is selected from there.
+  auto from = v.begin();
+  for (const std::size_t i : order) {
+    const double rank = std::clamp(ps[i], 0.0, 100.0) / 100.0 *
+                        static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    const auto at = v.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(from, at, v.end());
+    // The upper neighbour is the least element above the lower one.
+    const double upper = hi == lo ? *at : *std::min_element(at + 1, v.end());
+    out[i] = *at * (1.0 - frac) + upper * frac;
+    from = at;
+  }
+  return out;
 }
 
 LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {

@@ -66,9 +66,17 @@ class Histogram {
   std::size_t overflow_{0};
 };
 
-/// Returns the p-th percentile (p in [0,100]) by linear interpolation.
-/// The input need not be sorted; an internal copy is sorted.
+/// Returns the p-th percentile (p in [0,100], clamped) by linear
+/// interpolation between the order statistics around rank p/100 x (n - 1);
+/// NaN for an empty input.  The input need not be sorted.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
+
+/// percentile(xs, p) for each p in `ps`, in the order given.  Exact by
+/// selection: one copy of `xs`, then per rank in ascending order one
+/// std::nth_element over the part of the copy at and above the previous
+/// rank, so a few ranks cost O(n) expected instead of a sort.
+[[nodiscard]] std::vector<double> percentiles(std::span<const double> xs,
+                                              const std::vector<double>& ps);
 
 /// Ordinary least-squares line y = slope*x + intercept.
 struct LinearFit {

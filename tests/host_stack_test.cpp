@@ -2,8 +2,15 @@
 // bounded ports) and the WDM wavelength-continuity ledger.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <list>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "core/host_stack.hpp"
 #include "routing/wavelength.hpp"
+#include "util/rng.hpp"
 
 namespace lp {
 namespace {
@@ -95,6 +102,244 @@ TEST_F(HostStackFixture, HitRate) {
     ASSERT_TRUE(stack_.send(src, GlobalTile{0, 7}, DataSize::kib(1)).ok());
   }
   EXPECT_NEAR(stack_.stats().hit_rate(), 0.9, 1e-12);
+}
+
+TEST_F(HostStackFixture, ZeroMaxPeersIsAnErrorWithoutSideEffects) {
+  // A port bound of zero leaves no room for the circuit a send needs; the
+  // send must fail before it reserves anything.
+  core::HostStack stack{fab_, core::HostStackParams{.max_peers = 0}};
+  const std::uint64_t key = fab_.ledger_key();
+  EXPECT_FALSE(stack.send(GlobalTile{0, 0}, GlobalTile{0, 5}, DataSize::kib(4)).ok());
+  EXPECT_FALSE(stack.send(GlobalTile{0, 0}, GlobalTile{0, 5}, DataSize::kib(4)).ok());
+  EXPECT_EQ(fab_.active_circuits(), 0u);
+  EXPECT_EQ(fab_.ledger_key(), key);
+  EXPECT_FALSE(stack.has_circuit(GlobalTile{0, 0}, GlobalTile{0, 5}));
+  EXPECT_EQ(stack.stats().messages, 0u);
+}
+
+TEST_F(HostStackFixture, TilesOffTheFabricAreErrorsWithoutSideEffects) {
+  // One cached circuit from the source: a bad destination must not evict it.
+  const GlobalTile src{0, 0};
+  ASSERT_TRUE(stack_.send(src, GlobalTile{0, 5}, DataSize::kib(4)).ok());
+  const std::uint64_t key = fab_.ledger_key();
+  const core::HostStackStats before = stack_.stats();
+  for (const auto& [from, to] : {std::pair{GlobalTile{0, 32}, GlobalTile{0, 5}},
+                                 std::pair{GlobalTile{0, 999}, GlobalTile{0, 5}},
+                                 std::pair{GlobalTile{1, 0}, GlobalTile{0, 5}},
+                                 std::pair{src, GlobalTile{0, 32}},
+                                 std::pair{src, GlobalTile{0, 999}},
+                                 std::pair{src, GlobalTile{1, 3}}}) {
+    EXPECT_FALSE(stack_.send(from, to, DataSize::kib(4)).ok());
+    EXPECT_FALSE(stack_.has_circuit(from, to));
+  }
+  EXPECT_EQ(fab_.active_circuits(), 1u);
+  EXPECT_EQ(fab_.ledger_key(), key);
+  EXPECT_TRUE(stack_.has_circuit(src, GlobalTile{0, 5}));
+  EXPECT_EQ(stack_.stats().messages, before.messages);
+  EXPECT_EQ(stack_.stats().evictions, before.evictions);
+}
+
+/// The map + std::list host stack the per-tile table replaced, kept as the
+/// reference model: one hash map from (src, dst) to the circuit, and per
+/// source a list of keys in LRU order.
+class ReferenceHostStack {
+ public:
+  ReferenceHostStack(fabric::Fabric& fab, core::HostStackParams params)
+      : fabric_{fab}, params_{params} {}
+
+  bool has_circuit(GlobalTile src, GlobalTile dst) const {
+    return circuits_.contains(Key{src, dst});
+  }
+
+  Result<Duration> send(GlobalTile src, GlobalTile dst, DataSize bytes) {
+    ++stats_.messages;
+    const Key key{src, dst};
+    SrcState& state = sources_[src];
+
+    Duration latency = Duration::zero();
+    auto it = circuits_.find(key);
+    if (it != circuits_.end()) {
+      ++stats_.hits;
+      state.lru.remove(key);
+      state.lru.push_front(key);
+    } else {
+      ++stats_.misses;
+      auto attempt = establish(key);
+      while (!attempt && !state.lru.empty()) {
+        const Key victim = state.lru.back();
+        state.lru.pop_back();
+        const auto vit = circuits_.find(victim);
+        if (vit != circuits_.end()) {
+          fabric_.disconnect(vit->second);
+          circuits_.erase(vit);
+          ++stats_.evictions;
+        }
+        attempt = establish(key);
+      }
+      if (!attempt) return Err("cannot establish circuit: " + attempt.error().message);
+      while (state.lru.size() >= params_.max_peers) {
+        const Key victim = state.lru.back();
+        state.lru.pop_back();
+        const auto vit = circuits_.find(victim);
+        if (vit != circuits_.end()) {
+          fabric_.disconnect(vit->second);
+          circuits_.erase(vit);
+          ++stats_.evictions;
+        }
+      }
+      circuits_.emplace(key, attempt.value());
+      state.lru.push_front(key);
+      const fabric::Circuit* c = fabric_.circuit(attempt.value());
+      const Duration setup =
+          fabric_.reconfig().batch_latency(c != nullptr ? c->mzis_to_program() : 1);
+      stats_.reconfig_time += setup;
+      latency += setup;
+    }
+
+    const fabric::CircuitId id = circuits_.at(key);
+    const Bandwidth rate = fabric_.circuit_bandwidth(id);
+    const Duration transfer = transfer_time(bytes, rate);
+    stats_.transfer_time += transfer;
+    latency += transfer;
+    return latency;
+  }
+
+  void flush() {
+    for (const auto& [key, id] : circuits_) fabric_.disconnect(id);
+    circuits_.clear();
+    sources_.clear();
+  }
+
+  const core::HostStackStats& stats() const { return stats_; }
+
+ private:
+  struct Key {
+    GlobalTile src, dst;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return (static_cast<std::size_t>(k.src.wafer) << 48) ^
+             (static_cast<std::size_t>(k.src.tile) << 32) ^
+             (static_cast<std::size_t>(k.dst.wafer) << 16) ^ k.dst.tile;
+    }
+  };
+  struct SrcState {
+    std::list<Key> lru;
+  };
+  struct SrcHash {
+    std::size_t operator()(const GlobalTile& t) const {
+      return (static_cast<std::size_t>(t.wafer) << 32) ^ t.tile;
+    }
+  };
+
+  Result<fabric::CircuitId> establish(const Key& key) {
+    return fabric_.connect(key.src, key.dst, params_.wavelengths_per_circuit);
+  }
+
+  fabric::Fabric& fabric_;
+  core::HostStackParams params_;
+  std::unordered_map<Key, fabric::CircuitId, KeyHash> circuits_;
+  std::unordered_map<GlobalTile, SrcState, SrcHash> sources_;
+  core::HostStackStats stats_;
+};
+
+std::uint64_t bits(Duration d) { return std::bit_cast<std::uint64_t>(d.to_seconds()); }
+
+/// Drives the host stack and the reference model with the same seeded
+/// traffic on two identical fabrics and compares them after every send.
+/// Small lane pools, narrow fiber bundles, shared destinations and up to four
+/// lambdas per circuit make Tx, Rx, lane and fiber exhaustion all reach the
+/// evict-and-retry loop; working sets run below and above max_peers.
+TEST(HostStack, MatchesReferenceModel) {
+  constexpr std::uint32_t kMaxPeers[] = {1, 2, 6, 8};
+  constexpr std::uint32_t kLambdas[] = {1, 2, 4};
+  constexpr std::uint32_t kLanes[] = {6, 16, 8192};
+  constexpr std::uint32_t kFibers[] = {2, 8, 16};
+  std::uint64_t sends = 0, failures = 0, evictions = 0, flushes = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng{seed};
+    fabric::FabricConfig config;
+    config.wafer_count = 2;
+    config.wafer.lanes_per_edge = kLanes[rng.uniform_index(3)];
+    const core::HostStackParams params{.max_peers = kMaxPeers[rng.uniform_index(4)],
+                                       .wavelengths_per_circuit = kLambdas[rng.uniform_index(3)]};
+    const std::uint32_t fibers = kFibers[rng.uniform_index(3)];
+    fabric::Fabric fab{config};
+    fabric::Fabric ref_fab{config};
+    fab.add_fiber_link(GlobalTile{0, 7}, GlobalTile{1, 0}, fibers);
+    ref_fab.add_fiber_link(GlobalTile{0, 7}, GlobalTile{1, 0}, fibers);
+    core::HostStack stack{fab, params};
+    ReferenceHostStack ref{ref_fab, params};
+
+    const std::uint32_t tiles = fab.wafer(0).tile_count();
+    const auto any_tile = [&] {
+      return GlobalTile{static_cast<fabric::WaferId>(rng.uniform_index(2)),
+                        static_cast<fabric::TileId>(rng.uniform_index(tiles))};
+    };
+    // A shared destination pool (small pools contend for Rx), and per
+    // source a working set drawn from it, below or above max_peers.
+    std::vector<GlobalTile> pool(2 + rng.uniform_index(40));
+    for (GlobalTile& t : pool) t = any_tile();
+    std::vector<GlobalTile> sources(1 + rng.uniform_index(5));
+    std::vector<std::vector<GlobalTile>> working(sources.size());
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      sources[s] = any_tile();
+      working[s].resize(1 + rng.uniform_index(2 * params.max_peers + 2));
+      for (GlobalTile& t : working[s]) t = pool[rng.uniform_index(pool.size())];
+    }
+
+    for (int step = 0; step < 150; ++step) {
+      if (rng.bernoulli(0.02)) {
+        stack.flush();
+        ref.flush();
+        ++flushes;
+        ASSERT_EQ(fab.active_circuits(), 0u);
+        ASSERT_EQ(ref_fab.active_circuits(), 0u);
+      }
+      const std::size_t s = rng.uniform_index(sources.size());
+      const GlobalTile src = sources[s];
+      const GlobalTile dst = working[s][rng.uniform_index(working[s].size())];
+      const DataSize bytes = DataSize::bytes(rng.uniform(1.0, 4e6));
+      const auto got = stack.send(src, dst, bytes);
+      const auto want = ref.send(src, dst, bytes);
+      ++sends;
+      ASSERT_EQ(got.ok(), want.ok()) << "step " << step;
+      if (want.ok()) {
+        ASSERT_EQ(bits(got.value()), bits(want.value())) << "step " << step;
+      } else {
+        ++failures;
+        ASSERT_EQ(got.error().message, want.error().message) << "step " << step;
+      }
+      const core::HostStackStats& a = stack.stats();
+      const core::HostStackStats& b = ref.stats();
+      ASSERT_EQ(a.messages, b.messages);
+      ASSERT_EQ(a.hits, b.hits);
+      ASSERT_EQ(a.misses, b.misses);
+      ASSERT_EQ(a.evictions, b.evictions);
+      ASSERT_EQ(bits(a.reconfig_time), bits(b.reconfig_time));
+      ASSERT_EQ(bits(a.transfer_time), bits(b.transfer_time));
+      ASSERT_EQ(fab.active_circuits(), ref_fab.active_circuits());
+      ASSERT_EQ(fab.ledger_key(), ref_fab.ledger_key());
+      // The same connects and disconnects, in the same order, hand out the
+      // same circuit ids and program the same switches.
+      ASSERT_EQ(fab.circuit_ids(), ref_fab.circuit_ids());
+      ASSERT_EQ(fab.reconfig().batches(), ref_fab.reconfig().batches());
+      ASSERT_EQ(fab.reconfig().mzis_programmed(), ref_fab.reconfig().mzis_programmed());
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        for (const GlobalTile& t : working[i]) {
+          ASSERT_EQ(stack.has_circuit(sources[i], t), ref.has_circuit(sources[i], t));
+        }
+      }
+    }
+    evictions += stack.stats().evictions;
+    ASSERT_EQ(fab.ledger_digest(), ref_fab.ledger_digest());
+  }
+  // The cases reach every path: hits, evictions, failures and flushes.
+  EXPECT_GT(failures, sends / 100);
+  EXPECT_GT(evictions, sends / 10);
+  EXPECT_GT(flushes, 200u);
 }
 
 // --- WDM ledger --------------------------------------------------------------

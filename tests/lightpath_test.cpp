@@ -264,6 +264,34 @@ TEST(Fabric, ConnectValidatesArguments) {
   EXPECT_FALSE(fab.connect(GlobalTile{0, 0}, GlobalTile{0, 0}, 1).ok());
   EXPECT_FALSE(fab.connect(GlobalTile{0, 0}, GlobalTile{0, 1}, 0).ok());
   EXPECT_FALSE(fab.connect(GlobalTile{5, 0}, GlobalTile{0, 1}, 1).ok());
+
+  // Tile ids past the 32-tile wafer, as source and as destination, on one
+  // wafer and across two (with a fiber link, so only the tile id is wrong):
+  // rejected before anything is reserved.
+  FabricConfig two;
+  two.wafer_count = 2;
+  Fabric cross{two};
+  cross.add_fiber_link(GlobalTile{0, 7}, GlobalTile{1, 0}, 16);
+  for (Fabric* f : {&fab, &cross}) {
+    const std::uint64_t key = f->ledger_key();
+    for (const TileId bad : {TileId{32}, TileId{999}}) {
+      const WaferId far = f->wafer_count() - 1;
+      EXPECT_FALSE(f->contains(GlobalTile{0, bad}));
+      EXPECT_FALSE(f->connect(GlobalTile{0, bad}, GlobalTile{0, 1}, 1).ok());
+      EXPECT_FALSE(f->connect(GlobalTile{0, 1}, GlobalTile{0, bad}, 1).ok());
+      EXPECT_FALSE(f->connect(GlobalTile{0, bad}, GlobalTile{far, 1}, 1).ok());
+      EXPECT_FALSE(f->connect(GlobalTile{0, 1}, GlobalTile{far, bad}, 1).ok());
+      EXPECT_FALSE(f->connect_via(GlobalTile{0, bad}, GlobalTile{0, 1}, {}, 1).ok());
+      EXPECT_FALSE(f->connect_via(GlobalTile{0, 0}, GlobalTile{0, bad},
+                                  {Direction::kEast}, 1).ok());
+    }
+    EXPECT_TRUE(f->contains(GlobalTile{f->wafer_count() - 1, 31}));
+    EXPECT_FALSE(f->contains(GlobalTile{f->wafer_count(), 0}));
+    EXPECT_EQ(f->active_circuits(), 0u);
+    EXPECT_EQ(f->ledger_key(), key);
+  }
+  // Same tile ids in range still connect across the wafers.
+  EXPECT_TRUE(cross.connect(GlobalTile{0, 31}, GlobalTile{1, 31}, 1).ok());
 }
 
 TEST(Fabric, TxExhaustionFailsCleanly) {

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "serve/serving_sim.hpp"
 #include "serve/workload.hpp"
+#include "sort_percentile.hpp"
 
 namespace lp::serve {
 namespace {
@@ -113,6 +115,23 @@ TEST(Serving, SaturationCollapsesAttainment) {
   // Open loop: the backlog is real, not hidden.
   EXPECT_GT(sat.in_flight_at_end, 0u);
   EXPECT_GT(sat.p999, cold.p999);
+}
+
+// The digest folds latencies and counters but not the quantiles, so the
+// quantiles are pinned here: bit for bit the sort-based percentile over the
+// run's latencies, below capacity and past it.
+TEST(Serving, PercentilesMatchSortReference) {
+  ServingParams hot = small_params();
+  hot.traffic.arrival_rate = 5e6;
+  hot.drain = Duration::millis(5.0);
+  for (const ServingParams& p : {small_params(), hot}) {
+    const ServingReport r = run_serving(p);
+    ASSERT_GT(r.latencies.size(), 100u);
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    EXPECT_EQ(bits(r.p50.to_seconds()), bits(reference::sort_percentile(r.latencies, 50.0)));
+    EXPECT_EQ(bits(r.p99.to_seconds()), bits(reference::sort_percentile(r.latencies, 99.0)));
+    EXPECT_EQ(bits(r.p999.to_seconds()), bits(reference::sort_percentile(r.latencies, 99.9)));
+  }
 }
 
 TEST(Serving, ExpertTrafficMostlyHitsCircuitCache) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
+#include "sort_percentile.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -185,6 +189,36 @@ TEST(Stats, PercentileInterpolation) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100), 4.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 2.5);
   EXPECT_TRUE(std::isnan(percentile({}, 50)));
+}
+
+TEST(Stats, PercentilesMatchSortReference) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const std::vector<double> ascending{0.0, 25.0, 50.0, 99.0, 99.9, 100.0};
+  Rng rng{21};
+  for (int c = 0; c < 400; ++c) {
+    SCOPED_TRACE(c);
+    // Sizes 0-3 first, then up to a few thousand; most draws come from a few
+    // distinct values, so ties straddle every rank.  Every fifth input holds
+    // one +inf, where the interpolation's inf x 0 must match too.
+    const std::size_t n = c < 40 ? static_cast<std::size_t>(c % 4)
+                                 : 1 + rng.uniform_index(4000);
+    const std::uint64_t distinct = 1 + rng.uniform_index(c % 2 == 0 ? 5 : 100000);
+    std::vector<double> xs(n);
+    for (double& x : xs) x = static_cast<double>(rng.uniform_index(distinct)) * 0.37 - 3.0;
+    if (c % 5 == 4 && n > 0) xs[rng.uniform_index(n)] = std::numeric_limits<double>::infinity();
+    std::vector<double> ps = ascending;
+    if (c % 3 != 0) std::shuffle(ps.begin(), ps.end(), rng);
+    const std::vector<double> got = percentiles(xs, ps);
+    ASSERT_EQ(got.size(), ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const double want = reference::sort_percentile(xs, ps[i]);
+      EXPECT_EQ(bits(got[i]), bits(want)) << "n " << n << " p " << ps[i];
+      EXPECT_EQ(bits(percentile(xs, ps[i])), bits(want)) << "n " << n << " p " << ps[i];
+      if (n == 0) {
+        EXPECT_TRUE(std::isnan(got[i]));
+      }
+    }
+  }
 }
 
 TEST(Stats, LinearFitExact) {
