@@ -94,7 +94,7 @@ PlanReport PlanCache::place_all(const std::vector<Demand>& demands) {
   }
 
   ++stats_.misses;
-  PlanReport report = planner_.place_all(demands);
+  PlanReport report = planner_.place_ordered(ordered);
   remember(fp, epoch, key, std::move(ordered), report);
   return report;
 }

@@ -43,15 +43,18 @@ Result<fabric::CircuitId> CircuitPlanner::place_one(const Demand& demand) {
   }
   RouteOptions opts = options_;
   opts.lanes = demand.wavelengths;
-  const auto hops =
+  auto hops =
       find_route(fabric_.wafer(demand.src.wafer), demand.src.tile, demand.dst.tile, opts);
   if (!hops) return Err("no feasible waveguide path");
-  return fabric_.connect_via(demand.src, demand.dst, *hops, demand.wavelengths);
+  return fabric_.connect_via(demand.src, demand.dst, std::move(*hops), demand.wavelengths);
 }
 
 PlanReport CircuitPlanner::place_all(const std::vector<Demand>& demands) {
+  return place_ordered(plan_order(fabric_, demands));
+}
+
+PlanReport CircuitPlanner::place_ordered(const std::vector<Demand>& ordered) {
   PlanReport report;
-  const std::vector<Demand> ordered = plan_order(fabric_, demands);
   for (const Demand& d : ordered) {
     auto placed = place_one(d);
     if (placed) {

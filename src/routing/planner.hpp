@@ -59,6 +59,10 @@ class CircuitPlanner {
   /// demands fall back to Fabric::connect's fiber selection.
   [[nodiscard]] PlanReport place_all(const std::vector<Demand>& demands);
 
+  /// place_all for demands already in plan_order (PlanCache has sorted them
+  /// for its lookup, so a miss does not sort them again).
+  [[nodiscard]] PlanReport place_ordered(const std::vector<Demand>& ordered);
+
   /// Tears down everything a report placed.
   void release_all(const PlanReport& report);
 

@@ -17,29 +17,55 @@ namespace lp::routing {
 struct RouteOptions {
   /// Lanes the circuit needs on every edge.
   std::uint32_t lanes{1};
-  /// Extra cost per turn, in hop units (0 = pure shortest path).
+  /// Extra cost per turn, in hop units (0 = pure shortest path).  Must be
+  /// finite and >= 0; find_route returns nullopt for any other value.
   double turn_penalty{0.25};
 };
 
 /// Minimum-cost path over (tile, incoming-direction) states, using only
 /// edges with at least `options.lanes` free lanes.  A step costs 1, plus
 /// `turn_penalty` when it changes direction.  Returns the hop sequence from
-/// `from` to `to`, or nullopt when no feasible path exists.
+/// `from` to `to`, or nullopt when no feasible path exists or the penalty is
+/// negative, NaN or infinite (a negative penalty makes the bound below
+/// overestimate, and 0 x inf is NaN).
 ///
-/// The search is A* with the bound "Manhattan distance + turn_penalty if at
+/// Costs are counted, not accumulated: a path's cost is the pair (hops,
+/// turns), and every comparison uses its value hops + turns * turn_penalty
+/// evaluated from the counts.  Two paths with the same counts therefore
+/// compare equal bit for bit, whatever the penalty; summing 1 + penalty
+/// step by step does not (for 1/3, say), and the back-trace of the tie-break
+/// contract below could then find no matching predecessor.
+///
+/// The search is A* with the bound "Manhattan hops, plus one turn if at
 /// least one more turn is needed" (the tile is off `to`'s row and column, or
-/// on it but not heading at `to`).  It holds on an empty wafer, and occupied
-/// lanes only remove edges, so the bound never overestimates and is
-/// consistent.  The search keeps popping until the smallest key
-/// exceeds the best cost at `to`, which settles every state on every
-/// minimum-cost path.
+/// on it but not heading at `to`), counted the same way.  It holds on an
+/// empty wafer, and occupied lanes only remove edges, so the bound never
+/// overestimates; along every edge both counts of (cost + bound) are
+/// non-decreasing, so it is consistent.  A key is value(cost + bound).  The
+/// search keeps popping until the smallest key exceeds the best cost at
+/// `to`, which settles every state on every minimum-cost path.
+///
+/// Before searching, find_route walks the two dimension-ordered paths
+/// (columns then rows, and rows then columns; one straight path for an
+/// aligned pair).  If either has the lanes on every edge, no state keyed
+/// above value(bound at `from`) is queued or recorded.  This is exact:
+///   - the free path costs exactly the start's bound (Manhattan hops, plus
+///     one turn unless aligned), so the best cost is at most that value;
+///   - a state on any minimum-cost path has a key at most the best cost;
+///   - every state on the free path carries the same totals (Manhattan hops
+///     and the start's turn term), so its key equals that value bit for
+///     bit and it is never cut;
+/// so the search still reaches `to` and settles every minimum-cost state,
+/// and the back-trace sees what it would have seen without the cut.  With
+/// no free dimension-ordered path nothing is cut.
 ///
 /// Tie-break contract: among equal-cost paths the route ends in the lowest
 /// incoming direction at `to` (Direction order N, E, S, W), and walking back
-/// each step takes the lowest-incoming-direction predecessor that lies on a
-/// minimum-cost path.  The route is therefore a pure function of (lane
-/// ledger, from, to, options), independent of heap pop order and portable
-/// across standard libraries.  Thread-safe: search buffers are per thread.
+/// each step takes the lowest-incoming-direction reached predecessor whose
+/// counts plus the step have the value of the state it leads to.  The route
+/// is therefore a pure function of (lane ledger, from, to, options),
+/// independent of heap pop order and portable across standard libraries.
+/// Thread-safe: search buffers are per thread.
 [[nodiscard]] std::optional<std::vector<fabric::Direction>> find_route(
     const fabric::Wafer& wafer, fabric::TileId from, fabric::TileId to,
     const RouteOptions& options = {});

@@ -26,17 +26,46 @@ using fabric::Wafer;
 using fabric::WaferParams;
 using Route = std::optional<std::vector<Direction>>;
 
-// Full Dijkstra through Wafer's public API: no bound, no early exit.  The
-// route is chosen by the contract find_route documents: cheapest terminal
-// (lowest incoming direction on ties), then at each step back the
-// lowest-incoming-direction predecessor on a minimum-cost path.
+// How a reference search adds up a path's cost.  Summed accumulates
+// 1 + penalty step by step in doubles: exact for dyadic penalties (sums of
+// powers of two), which is all MatchesFullDijkstraOnRandomWafers uses.
+// Counted keeps (hops, turns) and values them as hops + turns * penalty, as
+// find_route does: two paths with the same counts compare equal bit for bit
+// for any penalty.
+struct Summed {
+  double total{0.0};
+  [[nodiscard]] Summed plus(bool turn, double penalty) const {
+    return Summed{total + (1.0 + (turn ? penalty : 0.0))};
+  }
+  [[nodiscard]] double value(double /*penalty*/) const { return total; }
+};
+struct Counted {
+  std::uint32_t hops{0};
+  std::uint32_t turns{0};
+  [[nodiscard]] Counted plus(bool turn, double /*penalty*/) const {
+    return Counted{hops + 1, turns + (turn ? 1u : 0u)};
+  }
+  [[nodiscard]] double value(double penalty) const {
+    return static_cast<double>(hops) + static_cast<double>(turns) * penalty;
+  }
+};
+
+// Full Dijkstra through Wafer's public API: no bound, no cut, no early exit.
+// The route is chosen by the contract find_route documents: cheapest
+// terminal (lowest incoming direction on ties), then at each step back the
+// lowest-incoming-direction predecessor on a minimum-cost path.  A step back
+// with no matching predecessor is a test failure.
+template <typename Cost>
 Route reference_route(const Wafer& wafer, TileId from, TileId to, const RouteOptions& o) {
   if (from == to) return std::vector<Direction>{};
   constexpr std::size_t kNone = 4;
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(wafer.tile_count()) * 5, inf);
-  const auto step = [&](std::size_t in, Direction d) {
-    return 1.0 + (in != kNone && in != static_cast<std::size_t>(d) ? o.turn_penalty : 0.0);
+  const std::size_t states = static_cast<std::size_t>(wafer.tile_count()) * 5;
+  std::vector<double> dist(states, inf);
+  std::vector<Cost> cost(states);
+  const auto extend = [&](std::size_t s, Direction d) {
+    const std::size_t in = s % 5;
+    return cost[s].plus(in != kNone && in != static_cast<std::size_t>(d), o.turn_penalty);
   };
   using Item = std::pair<double, std::size_t>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
@@ -44,16 +73,18 @@ Route reference_route(const Wafer& wafer, TileId from, TileId to, const RouteOpt
   dist[start] = 0.0;
   heap.emplace(0.0, start);
   while (!heap.empty()) {
-    const auto [cost, s] = heap.top();
+    const auto [value, s] = heap.top();
     heap.pop();
-    if (cost > dist[s]) continue;
+    if (value > dist[s]) continue;
     const auto tile = static_cast<TileId>(s / 5);
     for (Direction d : fabric::kAllDirections) {
       const auto next = wafer.neighbor(tile, d);
       if (!next || wafer.lanes_free(tile, d) < o.lanes) continue;
       const std::size_t n = static_cast<std::size_t>(*next) * 5 + static_cast<std::size_t>(d);
-      if (cost + step(s % 5, d) < dist[n]) {
-        dist[n] = cost + step(s % 5, d);
+      const Cost c = extend(s, d);
+      if (c.value(o.turn_penalty) < dist[n]) {
+        dist[n] = c.value(o.turn_penalty);
+        cost[n] = c;
         heap.emplace(dist[n], n);
       }
     }
@@ -71,18 +102,24 @@ Route reference_route(const Wafer& wafer, TileId from, TileId to, const RouteOpt
     const auto d = static_cast<Direction>(s % 5);
     hops.push_back(d);
     const auto prev = wafer.neighbor(static_cast<TileId>(s / 5), fabric::opposite(d));
-    std::size_t chosen = 0;
-    for (std::size_t in = 0; in < 5; ++in) {
+    std::optional<std::size_t> chosen;
+    for (std::size_t in = 0; in < 5 && !chosen; ++in) {
       const std::size_t p = static_cast<std::size_t>(*prev) * 5 + in;
-      if (dist[p] + step(in, d) == dist[s]) {
-        chosen = p;
-        break;
-      }
+      if (dist[p] != inf && extend(p, d).value(o.turn_penalty) == dist[s]) chosen = p;
     }
-    s = chosen;
+    if (!chosen) {
+      ADD_FAILURE() << "reference back-trace found no predecessor of state " << s << " ("
+                    << from << "->" << to << ")";
+      return std::nullopt;
+    }
+    s = *chosen;
   }
   std::reverse(hops.begin(), hops.end());
   return hops;
+}
+
+Route reference_route(const Wafer& wafer, TileId from, TileId to, const RouteOptions& o) {
+  return reference_route<Summed>(wafer, from, to, o);
 }
 
 std::size_t turns(const std::vector<Direction>& hops) {
@@ -152,6 +189,67 @@ TEST(RouterDifferential, MatchesFullDijkstraOnRandomWafers) {
     }
   }
   EXPECT_EQ(compared, 1000u);
+  EXPECT_GT(infeasible, 0u) << "the sweep must exercise infeasible demands";
+  EXPECT_LT(infeasible, compared / 2) << "and mostly feasible ones";
+}
+
+TEST(RouterDifferential, MatchesCountedDijkstraForAnyPenalty) {
+  // Penalties that are not sums of powers of two: summed step by step they
+  // round differently along different paths, so only the counted reference
+  // is exact.  Scarce lanes force detours with many turns, where (hops,
+  // turns) pairs of near-equal value meet.
+  struct Shape {
+    std::int32_t rows, cols;
+  };
+  const Shape shapes[] = {{1, 1}, {1, 12}, {12, 1}, {4, 8}, {4, 14}, {16, 16}, {32, 32}};
+  const double penalties[] = {0.1, 0.2, 0.3, 1.0 / 3.0, 0.6, 0.7};
+
+  Rng rng{20261017};
+  std::size_t compared = 0;
+  std::size_t infeasible = 0;
+  for (int c = 0; c < 420; ++c) {
+    const Shape shape = shapes[c % 7];
+    WaferParams params;
+    params.rows = shape.rows;
+    params.cols = shape.cols;
+    params.lanes_per_edge = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
+    Wafer wafer{params};
+    const auto tiles = wafer.tile_count();
+
+    // Partial occupancy and fully reserved edges.
+    const auto touched_edges = rng.uniform_index(tiles * 2 + 1);
+    for (std::uint64_t e = 0; e < touched_edges; ++e) {
+      const auto t = static_cast<TileId>(rng.uniform_index(tiles));
+      const auto d = static_cast<Direction>(rng.uniform_index(4));
+      const std::uint32_t free = wafer.lanes_free(t, d);
+      if (free == 0) continue;
+      const auto take = rng.bernoulli(0.5)
+                            ? free
+                            : static_cast<std::uint32_t>(1 + rng.uniform_index(free));
+      ASSERT_TRUE(wafer.reserve_lanes(t, d, take));
+    }
+
+    RouteOptions opts;
+    opts.turn_penalty = penalties[rng.uniform_index(6)];
+    for (int q = 0; q < 4; ++q) {
+      opts.lanes = static_cast<std::uint32_t>(1 + rng.uniform_index(params.lanes_per_edge));
+      const auto from = static_cast<TileId>(rng.uniform_index(tiles));
+      const auto to = static_cast<TileId>(rng.uniform_index(tiles));
+      const Route got = find_route(wafer, from, to, opts);
+      const Route want = reference_route<Counted>(wafer, from, to, opts);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "case " << c << " " << from << "->" << to << " lanes " << opts.lanes;
+      ++compared;
+      if (!got) {
+        ++infeasible;
+        continue;
+      }
+      ASSERT_EQ(*got, *want) << "case " << c << " " << from << "->" << to << " penalty "
+                             << opts.turn_penalty;
+      EXPECT_TRUE(wafer.path_has_capacity(from, *got, opts.lanes));
+    }
+  }
+  EXPECT_EQ(compared, 1680u);
   EXPECT_GT(infeasible, 0u) << "the sweep must exercise infeasible demands";
   EXPECT_LT(infeasible, compared / 2) << "and mostly feasible ones";
 }
@@ -274,6 +372,144 @@ TEST(Router, ConcurrentSearchesMatchSerialOnes) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(parallel[t][i], serial[(i + t * 16) % pairs.size()]) << "thread " << t;
+    }
+  }
+}
+
+TEST(Router, NonDyadicPenaltyStaysOnTheTile) {
+  // Summed step by step, 1 + 1/3 rounds differently along different paths
+  // to one state, so a back-trace that compares sums finds no matching
+  // predecessor on this route and leaves the tile.
+  WaferParams params;
+  params.rows = 4;
+  params.cols = 14;
+  params.lanes_per_edge = 1;
+  Wafer wafer{params};
+  // (tile, direction) edges taken, directions N0 E1 S2 W3.
+  const std::pair<TileId, int> blocked[] = {
+      {23, 1}, {43, 1}, {47, 0}, {38, 1}, {15, 3}, {29, 1}, {43, 3},
+      {45, 0}, {16, 0}, {9, 1},  {1, 3},  {33, 0}, {46, 3}, {36, 3},
+      {34, 2}, {32, 0}, {33, 1}, {46, 0}, {49, 0}, {8, 1}};
+  for (const auto& [t, d] : blocked) {
+    (void)wafer.reserve_lanes(t, static_cast<Direction>(d), 1);
+  }
+  RouteOptions opts;
+  opts.turn_penalty = 1.0 / 3.0;
+  const Route got = find_route(wafer, 29, 41, opts);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got, reference_route<Counted>(wafer, 29, 41, opts));
+  EXPECT_EQ(got->size(), 16u);
+  EXPECT_TRUE(wafer.path_has_capacity(29, *got, 1));
+}
+
+TEST(Router, PenaltiesOutsideTheDomainFindNoRoute) {
+  // A negative penalty makes the bound overestimate, and at -1 or below a
+  // turning step costs nothing or less, so loops never stop paying off; a
+  // count times an infinite penalty is NaN.  No search starts.
+  const Wafer wafer;
+  const TileId from = wafer.tile_at(TileCoord{0, 0});
+  const TileId to = wafer.tile_at(TileCoord{3, 7});
+  for (const double penalty : {-0.25, -1.0, -1.5, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    RouteOptions opts;
+    opts.turn_penalty = penalty;
+    EXPECT_FALSE(find_route(wafer, from, to, opts).has_value()) << penalty;
+  }
+  EXPECT_EQ(find_route(wafer, from, to), reference_route<Counted>(wafer, from, to, {}));
+}
+
+// (0,0) -> (3,5) on the default 4x8 wafer.  Columns first runs east along
+// row 0, then south down column 5; rows first runs south down column 0, then
+// east along row 3.  Each is one turn, the cheapest a non-aligned route gets;
+// on an open wafer they tie and rows first wins (it arrives heading east).
+class DimensionOrdered : public ::testing::Test {
+ protected:
+  void block(TileCoord at, Direction d) {
+    const TileId t = wafer.tile_at(at);
+    ASSERT_TRUE(wafer.reserve_lanes(t, d, wafer.lanes_free(t, d)));
+  }
+  [[nodiscard]] Route route() const { return find_route(wafer, from, to); }
+  [[nodiscard]] Route reference() const {
+    return reference_route<Counted>(wafer, from, to, {});
+  }
+
+  Wafer wafer;
+  TileId from = wafer.tile_at(TileCoord{0, 0});
+  TileId to = wafer.tile_at(TileCoord{3, 5});
+};
+
+using D = Direction;
+const std::vector<Direction> kRowsFirst{D::kSouth, D::kSouth, D::kSouth, D::kEast,
+                                        D::kEast,  D::kEast,  D::kEast,  D::kEast};
+const std::vector<Direction> kColumnsFirst{D::kEast, D::kEast,  D::kEast,  D::kEast,
+                                           D::kEast, D::kSouth, D::kSouth, D::kSouth};
+
+TEST_F(DimensionOrdered, OnlyColumnsFirstBlocked) {
+  block(TileCoord{0, 2}, D::kEast);
+  EXPECT_EQ(route(), kRowsFirst);
+  EXPECT_EQ(route(), reference());
+}
+
+TEST_F(DimensionOrdered, OnlyRowsFirstBlocked) {
+  block(TileCoord{2, 0}, D::kSouth);
+  EXPECT_EQ(route(), kColumnsFirst);
+  EXPECT_EQ(route(), reference());
+}
+
+TEST_F(DimensionOrdered, BothBlockedDetours) {
+  block(TileCoord{0, 2}, D::kEast);
+  block(TileCoord{2, 0}, D::kSouth);
+  const Route r = route();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r, reference());
+  EXPECT_EQ(r->size(), manhattan(wafer, from, to));
+  EXPECT_EQ(turns(*r), 2u);
+}
+
+TEST_F(DimensionOrdered, BothBlockedDetourAddsHops) {
+  // A wall between columns 4 and 5 on rows 1..3, and the first hop east of
+  // (0,0) cut: a route must leave row 0 and come back to cross the wall, so
+  // it is longer than Manhattan.
+  block(TileCoord{0, 0}, D::kEast);
+  for (std::int32_t row = 1; row < 4; ++row) block(TileCoord{row, 4}, D::kEast);
+  const Route r = route();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r, reference());
+  EXPECT_GT(r->size(), manhattan(wafer, from, to));
+}
+
+TEST(Router, AlignedPairWithStraightLineBlocked) {
+  // (1,0) -> (1,6): the one straight path is cut at (1,3), so nothing is
+  // pruned and the route leaves the row: two hops and two turns extra.
+  Wafer wafer;
+  const TileId cut = wafer.tile_at(TileCoord{1, 3});
+  ASSERT_TRUE(wafer.reserve_lanes(cut, Direction::kEast,
+                                  wafer.lanes_free(cut, Direction::kEast)));
+  const TileId from = wafer.tile_at(TileCoord{1, 0});
+  const TileId to = wafer.tile_at(TileCoord{1, 6});
+  const Route r = find_route(wafer, from, to);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r, reference_route<Counted>(wafer, from, to, {}));
+  EXPECT_EQ(r->size(), 8u);
+  EXPECT_EQ(turns(*r), 2u);
+}
+
+TEST(Router, ZeroPenaltyStaircaseTiesMatchReference) {
+  // With free turns every monotone staircase ties with the two
+  // dimension-ordered paths; only the back-trace's tie-break picks one.
+  RouteOptions opts;
+  opts.turn_penalty = 0.0;
+  for (const auto& [rows, cols] : {std::pair{4, 8}, std::pair{8, 8}}) {
+    WaferParams params;
+    params.rows = rows;
+    params.cols = cols;
+    const Wafer wafer{params};
+    for (TileId a = 0; a < wafer.tile_count(); ++a) {
+      for (TileId b = 0; b < wafer.tile_count(); ++b) {
+        const Route r = find_route(wafer, a, b, opts);
+        ASSERT_EQ(r, reference_route<Counted>(wafer, a, b, opts)) << a << "->" << b;
+        ASSERT_EQ(r->size(), manhattan(wafer, a, b)) << a << "->" << b;
+      }
     }
   }
 }
