@@ -2,11 +2,8 @@
 
 namespace lp::fabric {
 
-ReconfigController::ReconfigController(ReconfigParams params) : params_{params} {}
-
-Duration ReconfigController::settle_latency() const {
-  return phys::Mzi{params_.mzi}.settling_time();
-}
+ReconfigController::ReconfigController(ReconfigParams params)
+    : params_{params}, settle_{phys::Mzi{params_.mzi}.settling_time()} {}
 
 Duration ReconfigController::batch_latency(unsigned mzi_count) const {
   if (mzi_count == 0) return Duration::zero();

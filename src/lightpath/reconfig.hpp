@@ -34,7 +34,7 @@ class ReconfigController {
   [[nodiscard]] Duration batch_latency(unsigned mzi_count) const;
 
   /// The parallel-settle component alone (~3.7 us by default).
-  [[nodiscard]] Duration settle_latency() const;
+  [[nodiscard]] Duration settle_latency() const { return settle_; }
 
   /// Program a batch, accumulating statistics, and return its latency.
   Duration reconfigure(unsigned mzi_count);
@@ -47,6 +47,8 @@ class ReconfigController {
 
  private:
   ReconfigParams params_;
+  /// Computed once: batch_latency runs on every connect and disconnect.
+  Duration settle_;
   std::uint64_t batches_{0};
   std::uint64_t mzis_{0};
   Duration total_{Duration::zero()};

@@ -52,7 +52,9 @@ ConcurrentPlanResult plan_jobs(fabric::Fabric& fab,
     for (const Demand& d : ordered) {
       Precomputed p;
       p.demand = d;
-      if (d.src.wafer == d.dst.wafer) {
+      // A demand with an endpoint off the fabric gets no route here, so
+      // Phase B's place_one fails it.
+      if (d.src.wafer == d.dst.wafer && fab.contains(d.src) && fab.contains(d.dst)) {
         RouteOptions opts = options;
         opts.lanes = d.wavelengths;
         p.hops = find_route(fab.wafer(d.src.wafer), d.src.tile, d.dst.tile, opts);

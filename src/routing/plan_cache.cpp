@@ -172,7 +172,10 @@ void PlanCache::evict_if_needed() {
 }
 
 std::optional<std::vector<fabric::Direction>> PlanCache::route_for(const Demand& demand) {
-  if (demand.src.wafer != demand.dst.wafer) return std::nullopt;
+  if (demand.src.wafer != demand.dst.wafer || !fabric_.contains(demand.src) ||
+      !fabric_.contains(demand.dst)) {
+    return std::nullopt;
+  }
   const std::uint64_t epoch = fabric_.epoch();
   const std::uint64_t key = fabric_.ledger_key();
 

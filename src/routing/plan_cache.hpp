@@ -79,7 +79,8 @@ class PlanCache {
 
   /// Memoized single-demand route for the repair ladder: same-wafer hop
   /// sequence find_route would produce right now, or nullopt if no route
-  /// (or the demand is cross-wafer, which has no hop-path to memoize).
+  /// (or the demand is cross-wafer, which has no hop-path to memoize, or
+  /// has an endpoint off the fabric).
   /// Validated by the same epoch + ledger-key rule as full plans.
   [[nodiscard]] std::optional<std::vector<fabric::Direction>> route_for(
       const Demand& demand);

@@ -20,7 +20,11 @@ std::vector<Demand> plan_order(const Fabric& fab, std::vector<Demand> demands) {
   // the whole plan — is a pure function of the demand *set*, not of the
   // order the caller happened to supply it in.
   auto manhattan = [&](const Demand& d) {
-    if (d.src.wafer != d.dst.wafer) return std::numeric_limits<std::int32_t>::max();
+    // An endpoint off the fabric has no distance; it sorts with the
+    // cross-wafer demands, and place_one fails it.
+    if (d.src.wafer != d.dst.wafer || !fab.contains(d.src) || !fab.contains(d.dst)) {
+      return std::numeric_limits<std::int32_t>::max();
+    }
     const auto& w = fab.wafer(d.src.wafer);
     const auto a = w.coord_of(d.src.tile);
     const auto b = w.coord_of(d.dst.tile);
@@ -38,6 +42,9 @@ std::vector<Demand> plan_order(const Fabric& fab, std::vector<Demand> demands) {
 }
 
 Result<fabric::CircuitId> CircuitPlanner::place_one(const Demand& demand) {
+  if (!fabric_.contains(demand.src) || !fabric_.contains(demand.dst)) {
+    return Err("wafer or tile id out of range");
+  }
   if (demand.src.wafer != demand.dst.wafer) {
     return fabric_.connect(demand.src, demand.dst, demand.wavelengths);
   }

@@ -25,10 +25,10 @@ struct Demand {
 };
 
 /// The planner's total placement order: Manhattan distance descending
-/// (cross-wafer counts as infinite), ties broken by ascending
-/// (src, dst, wavelengths).  A *total* order, so the resulting plan is
-/// invariant under permutation of the input demand set — which also makes
-/// demand sets safely comparable for plan-cache lookups.
+/// (cross-wafer, or an endpoint off the fabric, counts as infinite), ties
+/// broken by ascending (src, dst, wavelengths).  A *total* order, so the
+/// resulting plan is invariant under permutation of the input demand set —
+/// which also makes demand sets safely comparable for plan-cache lookups.
 [[nodiscard]] std::vector<Demand> plan_order(const fabric::Fabric& fab,
                                              std::vector<Demand> demands);
 
@@ -68,6 +68,8 @@ class CircuitPlanner {
 
   /// Places a single demand (the primitive place_all iterates).  Public so
   /// the concurrent planner's sequential-commit fallback can reuse it.
+  /// Fails without side effects, as Fabric::connect does, when either
+  /// endpoint is off the fabric.
   Result<fabric::CircuitId> place_one(const Demand& demand);
 
  private:

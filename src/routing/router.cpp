@@ -69,6 +69,7 @@ std::optional<std::vector<Direction>> find_route(const Wafer& wafer, TileId from
                                                  TileId to, const RouteOptions& options) {
   const double penalty = options.turn_penalty;
   if (!std::isfinite(penalty) || penalty < 0.0) return std::nullopt;
+  if (from >= wafer.tile_count() || to >= wafer.tile_count()) return std::nullopt;
   if (from == to) return std::vector<Direction>{};
 
   const std::int32_t rows = wafer.rows();
@@ -107,32 +108,57 @@ std::optional<std::vector<Direction>> find_route(const Wafer& wafer, TileId from
     return Cost{manhattan, step(in_dir, toward).turns};
   };
 
-  // The search's upper bound: when a dimension-ordered path (columns then
-  // rows, or rows then columns) has lanes on every edge, it costs exactly the
-  // start's bound, and no state keyed above that lies on a minimum-cost path.
+  // The dimension-ordered paths (columns then rows, and rows then columns;
+  // one straight path for an aligned pair) cost exactly the start's bound.
   const std::int32_t from_row = static_cast<std::int32_t>(from) / cols;
   const std::int32_t from_col = static_cast<std::int32_t>(from) % cols;
   const std::uint32_t row_dir = to_row < from_row ? 0 : 2;
   const std::uint32_t col_dir = to_col > from_col ? 1 : 3;
-  const auto walk = [&](TileId& t, std::uint32_t d, std::int32_t hops) {
-    for (std::int32_t i = 0; i < hops; ++i) {
+  const auto row_hops = static_cast<std::uint32_t>(std::abs(to_row - from_row));
+  const auto col_hops = static_cast<std::uint32_t>(std::abs(to_col - from_col));
+  const auto walk = [&](TileId& t, std::uint32_t d, std::uint32_t hops) {
+    for (std::uint32_t i = 0; i < hops; ++i) {
       if (!has_lanes(t, d)) return false;
       t = static_cast<TileId>(static_cast<std::int32_t>(t) + delta[d]);
     }
     return true;
   };
   const auto dimension_ordered_free = [&](bool rows_first) {
-    const std::int32_t row_hops = std::abs(to_row - from_row);
-    const std::int32_t col_hops = std::abs(to_col - from_col);
     TileId t = from;
     return rows_first ? walk(t, row_dir, row_hops) && walk(t, col_dir, col_hops)
                       : walk(t, col_dir, col_hops) && walk(t, row_dir, row_hops);
   };
   const bool aligned = from_row == to_row || from_col == to_col;
-  const double prune =
-      dimension_ordered_free(false) || (!aligned && dimension_ordered_free(true))
-          ? value(bound(from_row, from_col, kNoDir))
-          : kInf;
+  const bool cols_first_free = dimension_ordered_free(false);
+  const bool rows_first_free = !aligned && dimension_ordered_free(true);
+  const Cost start_bound = bound(from_row, from_col, kNoDir);
+
+  // A free dimension-ordered path that is the unique minimum-cost route is
+  // the answer (see router.hpp): the straight path of an aligned pair, or a
+  // free L when one turn is worth strictly less than two at this penalty.
+  // Of two free L's the one arriving in the lower direction wins, as the
+  // tie-break contract would pick it.
+  if ((cols_first_free || rows_first_free) &&
+      (aligned || value(Cost{start_bound.hops, 2}) > value(start_bound))) {
+    const bool rows_first = rows_first_free && (!cols_first_free || col_dir < row_dir);
+    std::vector<Direction> hops;
+    hops.reserve(start_bound.hops);
+    const auto append = [&hops](std::uint32_t d, std::uint32_t n) {
+      hops.insert(hops.end(), n, static_cast<Direction>(d));
+    };
+    if (rows_first) {
+      append(row_dir, row_hops);
+      append(col_dir, col_hops);
+    } else {
+      append(col_dir, col_hops);
+      append(row_dir, row_hops);
+    }
+    return hops;
+  }
+
+  // Otherwise search, capped by a free dimension-ordered path: no state keyed
+  // above its cost lies on a minimum-cost path.
+  const double prune = cols_first_free || rows_first_free ? value(start_bound) : kInf;
 
   Scratch& sc = t_scratch;
   sc.reset(static_cast<std::size_t>(wafer.tile_count()) * kStates);

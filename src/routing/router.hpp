@@ -25,9 +25,10 @@ struct RouteOptions {
 /// Minimum-cost path over (tile, incoming-direction) states, using only
 /// edges with at least `options.lanes` free lanes.  A step costs 1, plus
 /// `turn_penalty` when it changes direction.  Returns the hop sequence from
-/// `from` to `to`, or nullopt when no feasible path exists or the penalty is
-/// negative, NaN or infinite (a negative penalty makes the bound below
-/// overestimate, and 0 x inf is NaN).
+/// `from` to `to`, or nullopt when no feasible path exists, when `from` or
+/// `to` is not a tile of the wafer (an id >= tile_count(); no lane is read),
+/// or when the penalty is negative, NaN or infinite (a negative penalty
+/// makes the bound below overestimate, and 0 x inf is NaN).
 ///
 /// Costs are counted, not accumulated: a path's cost is the pair (hops,
 /// turns), and every comparison uses its value hops + turns * turn_penalty
@@ -47,8 +48,26 @@ struct RouteOptions {
 ///
 /// Before searching, find_route walks the two dimension-ordered paths
 /// (columns then rows, and rows then columns; one straight path for an
-/// aligned pair).  If either has the lanes on every edge, no state keyed
-/// above value(bound at `from`) is queued or recorded.  This is exact:
+/// aligned pair).  Let M be the Manhattan hop count.  A free one is returned
+/// without searching when it is the unique minimum-cost route:
+///   - an aligned pair's straight path costs (M, 0).  Every other path has
+///     at least M + 2 hops (it leaves the line and comes back, or turns
+///     around), so it is the unique minimum for every finite penalty >= 0.
+///   - a non-aligned pair's two L's are its only one-turn paths, and each
+///     costs (M, 1); every other path has at least M hops and two turns,
+///     and since rounding is monotone its value is at least value(M, 2).
+///     So when value(M, 2) > value(M, 1), the free L's are the only
+///     minimum-cost routes.  If both are free, the tie-break below takes the
+///     one whose last hop has the lower direction: rows first iff the
+///     column direction is below the row direction.
+/// The condition compares values, not the penalty with 0: at penalty 0
+/// every monotone staircase ties with the L's, and at a penalty so small
+/// that M + penalty and M + 2 x penalty round to the same double (1e-15 at
+/// M = 8) a two-turn staircase can win the tie-break.  Those calls search.
+///
+/// When a free dimension-ordered path is not known to be the unique
+/// minimum, the search still uses it as a cap: no state keyed above
+/// value(bound at `from`) is queued or recorded.  This is exact:
 ///   - the free path costs exactly the start's bound (Manhattan hops, plus
 ///     one turn unless aligned), so the best cost is at most that value;
 ///   - a state on any minimum-cost path has a key at most the best cost;

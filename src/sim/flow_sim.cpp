@@ -4,9 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <memory>
-
-#include "util/parallel.hpp"
+#include <string>
 
 namespace lp::sim {
 namespace {
@@ -236,8 +234,8 @@ class MaxMinSolver {
   std::vector<Entry> heap_;          ///< lazy min-heap (large rounds)
 };
 
-/// Reusable scratch for simulating one phase; a schedule run keeps one per
-/// worker so consecutive phases do not reallocate.
+/// Reusable scratch for simulating one phase; a schedule run keeps one for
+/// all its phases so consecutive phases do not reallocate.
 struct PhaseWorkspace {
   explicit PhaseWorkspace(double capacity_bps) : solver{capacity_bps} {}
   MaxMinSolver solver;
@@ -318,25 +316,20 @@ PhaseResult FlowSimulator::run_phase(const std::vector<coll::Transfer>& transfer
 ScheduleResult FlowSimulator::run(const coll::Schedule& schedule,
                                   TimelineTrace* trace) const {
   ScheduleResult result;
-  const std::size_t n = schedule.phases.size();
+  result.phases.reserve(schedule.phases.size());
 
-  // Phases are simultaneous-transfer sets separated by barriers; their
-  // simulations are independent, so the sweep runs one phase per task with
-  // per-worker workspaces and folds the results in phase order (the fold,
-  // and hence every accumulated duration, is schedule-order deterministic).
-  std::vector<PhaseResult> phase_results(n);
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  std::vector<std::unique_ptr<PhaseWorkspace>> workspaces(pool.size());
-  pool.run(n, [&](std::size_t i, unsigned worker) {
-    auto& ws = workspaces[worker];
-    if (ws == nullptr) ws = std::make_unique<PhaseWorkspace>(link_capacity_.to_bps());
-    phase_results[i] = simulate_phase(schedule.phases[i].transfers, link_capacity_, *ws);
-  });
-
+  // Phases are barriers, so each is simulated in schedule order on one
+  // workspace and folded as it completes; the fold, and hence every
+  // accumulated duration, is schedule-order deterministic.  They run inline
+  // rather than one per pool task: a control-plane AllReduce is at most 62
+  // phases of at most 32 transfers, ~6-8 us of solver work, while waking the
+  // pool's workers and joining them cost ~30-100 us per call on a 4-vCPU
+  // host (BM_SimBroadcast read 27-141 us of wall time pooled, 13-21 us
+  // inline).
+  PhaseWorkspace ws{link_capacity_.to_bps()};
   std::uint32_t phase_index = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    const auto& phase = schedule.phases[p];
-    PhaseResult& pr = phase_results[p];
+  for (const auto& phase : schedule.phases) {
+    PhaseResult pr = simulate_phase(phase.transfers, link_capacity_, ws);
     if (trace != nullptr) {
       if (phase.pre_delay > Duration::zero()) {
         trace->add(TraceEvent{phase_index, "reconfig", result.total,

@@ -292,6 +292,31 @@ TEST(ConcurrentPlanner, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ConcurrentPlanner, OffFabricDemandFailsWithoutSideEffects) {
+  // One 4x8 wafer: tile 42 and wafer 3 are off the fabric.  Phase A
+  // precomputes no route for them and Phase B's place_one fails them.
+  Fabric fab;
+  const std::uint64_t key = fab.ledger_key();
+  const std::vector<std::vector<Demand>> jobs{{Demand{{0, 42}, {0, 1}, 1}},
+                                              {Demand{{3, 0}, {3, 1}, 1}},
+                                              {Demand{{0, 2}, {0, 40}, 1}}};
+  for (const bool atomic : {false, true}) {
+    PlanJobsOptions opts;
+    opts.atomic_jobs = atomic;
+    opts.threads = 2;
+    const ConcurrentPlanResult r = plan_jobs(fab, jobs, opts);
+    ASSERT_EQ(r.reports.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_TRUE(r.reports[j].placed.empty()) << "job " << j;
+      EXPECT_EQ(r.reports[j].failed, jobs[j]) << "job " << j;
+    }
+    EXPECT_EQ(r.stats.routes_precomputed, 0u);
+    EXPECT_EQ(r.stats.fast_path_commits, 0u);
+    EXPECT_EQ(fab.active_circuits(), 0u);
+    EXPECT_EQ(fab.ledger_key(), key);
+  }
+}
+
 TEST(ConcurrentPlanner, MatchesSequentialPlannerWithAmpleCapacity) {
   // With lanes to spare, no commit can invalidate a precomputed route, so
   // the concurrent result must equal planning each job sequentially.

@@ -6,9 +6,13 @@
 // found by scanning every link.  The incremental solver (CSR incidence,
 // cached shares, compacted active-link table / lazy heap) must produce the
 // same rates — on 200 randomized demand sets with shared links, multi-hop
-// routes, optical circuits, and zero-byte transfers.
+// routes, optical circuits, and zero-byte transfers.  A schedule run, which
+// reuses one solver workspace across its phases, must equal fresh per-phase
+// runs bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -132,22 +136,24 @@ RefResult reference_phase(const std::vector<coll::Transfer>& transfers) {
   return out;
 }
 
-// Random demand set: multi-hop electrical routes over a shared pool of
-// directed links (10 chips x 3 dims x 2 signs), sprinkled with optical
+// Random demand set: 1..max_flows multi-hop electrical routes over a shared
+// pool of directed links (chips x 3 dims x 2 signs), sprinkled with optical
 // circuits and zero-byte transfers.
-std::vector<coll::Transfer> random_transfers(std::uint64_t seed) {
+std::vector<coll::Transfer> random_transfers(std::uint64_t seed, topo::TpuId chips = 10,
+                                             std::size_t max_flows = 40) {
   Rng rng{seed};
   std::vector<topo::DirectedLink> pool;
-  for (topo::TpuId chip = 0; chip < 10; ++chip)
+  for (topo::TpuId chip = 0; chip < chips; ++chip)
     for (std::uint8_t dim = 0; dim < 3; ++dim)
       for (int sign : {+1, -1})
         pool.push_back(topo::DirectedLink{chip, dim, static_cast<std::int8_t>(sign)});
 
-  const std::size_t n = 1 + rng.uniform_index(40);
+  const std::size_t n = 1 + rng.uniform_index(max_flows);
+  const auto chip_count = static_cast<std::uint64_t>(chips);
   std::vector<coll::Transfer> transfers(n);
   for (auto& t : transfers) {
-    t.src = static_cast<topo::TpuId>(rng.uniform_index(10));
-    t.dst = static_cast<topo::TpuId>(rng.uniform_index(10));
+    t.src = static_cast<topo::TpuId>(rng.uniform_index(chip_count));
+    t.dst = static_cast<topo::TpuId>(rng.uniform_index(chip_count));
     const double roll = rng.uniform();
     if (roll < 0.05) {
       t.bytes = DataSize::zero();
@@ -195,6 +201,57 @@ TEST_P(FlowReferenceTest, IncrementalSolverMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomDemands, FlowReferenceTest, ::testing::Range(0, 200));
+
+std::uint64_t bits(Duration d) { return std::bit_cast<std::uint64_t>(d.to_seconds()); }
+std::uint64_t bits(Bandwidth b) { return std::bit_cast<std::uint64_t>(b.to_bps()); }
+
+// FlowSimulator::run simulates a schedule's phases in turn on one workspace
+// whose flat tables resize per phase.  Nothing may leak from one phase into
+// the next: the run must equal, bit for bit, a fold of fresh run_phase calls.
+// Link pools grow and shrink between phases (2..40 chips), and a quarter of
+// the phases carry up to 160 flows, enough for the solver's heap selection.
+TEST(FlowSim, RunMatchesPhaseByPhase) {
+  const FlowSimulator fsim{Bandwidth::bps(kCapBps)};
+  Rng rng{0x5c4ed};
+  for (int c = 0; c < 100; ++c) {
+    coll::Schedule schedule;
+    const std::size_t phase_count = 1 + rng.uniform_index(12);
+    for (std::size_t p = 0; p < phase_count; ++p) {
+      coll::Phase phase;
+      if (rng.bernoulli(0.3)) phase.pre_delay = Duration::micros(rng.uniform(0.5, 5.0));
+      const auto chips = static_cast<topo::TpuId>(2 + rng.uniform_index(39));
+      const std::size_t max_flows = rng.bernoulli(0.25) ? 160 : 40;
+      if (!rng.bernoulli(0.05)) phase.transfers = random_transfers(rng.next(), chips, max_flows);
+      schedule.phases.push_back(std::move(phase));
+    }
+
+    const ScheduleResult got = fsim.run(schedule);
+    ASSERT_EQ(got.phases.size(), phase_count) << "case " << c;
+    Duration total = Duration::zero();
+    Duration reconfig = Duration::zero();
+    std::uint32_t peak = 0;
+    for (std::size_t p = 0; p < phase_count; ++p) {
+      const coll::Phase& phase = schedule.phases[p];
+      const PhaseResult want = fsim.run_phase(phase.transfers);
+      const PhaseResult& have = got.phases[p];
+      EXPECT_EQ(bits(have.duration), bits(want.duration)) << "case " << c << " phase " << p;
+      EXPECT_EQ(have.peak_link_load, want.peak_link_load) << "case " << c << " phase " << p;
+      ASSERT_EQ(have.flows.size(), want.flows.size()) << "case " << c << " phase " << p;
+      for (std::size_t i = 0; i < want.flows.size(); ++i) {
+        EXPECT_EQ(bits(have.flows[i].completion), bits(want.flows[i].completion))
+            << "case " << c << " phase " << p << " flow " << i;
+        EXPECT_EQ(bits(have.flows[i].initial_rate), bits(want.flows[i].initial_rate))
+            << "case " << c << " phase " << p << " flow " << i;
+      }
+      total += phase.pre_delay + want.duration;
+      reconfig += phase.pre_delay;
+      peak = std::max(peak, want.peak_link_load);
+    }
+    EXPECT_EQ(bits(got.total), bits(total)) << "case " << c;
+    EXPECT_EQ(bits(got.reconfig_time), bits(reconfig)) << "case " << c;
+    EXPECT_EQ(got.peak_link_load, peak) << "case " << c;
+  }
+}
 
 }  // namespace
 }  // namespace lp::sim

@@ -180,6 +180,22 @@ TEST(Reconfig, DefaultLatencyNearPaperValue) {
   EXPECT_EQ(ctl.batch_latency(0), Duration::zero());
 }
 
+TEST(Reconfig, SettleLatencyMatchesMziSettlingTimeExactly) {
+  // The settle latency is computed once at construction; it must equal a
+  // fresh Mzi's settling time bit for bit, for non-default parameters too.
+  ReconfigParams p;
+  p.per_mzi_program = Duration::nanos(35.0);
+  p.batch_overhead = Duration::nanos(120.0);
+  p.mzi.tau = Duration::micros(2.3);
+  p.mzi.settle_fraction = 0.01;
+  const ReconfigController ctl{p};
+  const Duration settle = phys::Mzi{p.mzi}.settling_time();
+  EXPECT_EQ(ctl.settle_latency(), settle);
+  EXPECT_EQ(ctl.batch_latency(7),
+            p.batch_overhead + p.per_mzi_program * 7.0 + settle);
+  EXPECT_EQ(ReconfigController{}.settle_latency(), phys::Mzi{}.settling_time());
+}
+
 TEST(Reconfig, StatsAccumulate) {
   ReconfigController ctl;
   ctl.reconfigure(3);

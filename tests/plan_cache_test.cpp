@@ -277,6 +277,23 @@ TEST(PlanCache, EvictionKeepsCacheBounded) {
 
 // --- route_for (the repair ladder's entry point) ---------------------------
 
+TEST(PlanCache, OffFabricDemandFailsWithoutSideEffects) {
+  Fabric fab = make_fabric();
+  PlanCache cache{fab};
+  const std::uint64_t key = fab.ledger_key();
+  const std::vector<Demand> off{Demand{{0, 42}, {0, 1}, 1}, Demand{{2, 0}, {2, 3}, 1},
+                                Demand{{0, 3}, {2, 3}, 1}};
+  for (int round = 0; round < 2; ++round) {  // a fresh plan, then its replay
+    const PlanReport report = cache.place_all(off);
+    EXPECT_TRUE(report.placed.empty());
+    EXPECT_EQ(report.failed, plan_order(fab, off));
+    EXPECT_EQ(fab.active_circuits(), 0u);
+    EXPECT_EQ(fab.ledger_key(), key);
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
 TEST(PlanCacheRouteFor, MatchesFindRouteAndMemoizes) {
   Fabric fab = make_fabric();
   PlanCache cache{fab};
@@ -301,6 +318,19 @@ TEST(PlanCacheRouteFor, CrossWaferIsNotMemoized) {
   EXPECT_FALSE(cache.route_for(Demand{{0, 7}, {1, 0}, 1}).has_value());
   EXPECT_EQ(cache.stats().route_hits, 0u);
   EXPECT_EQ(cache.stats().route_misses, 0u);
+}
+
+TEST(PlanCacheRouteFor, OffFabricDemandHasNoRoute) {
+  // Two 4x8 wafers: tile 42 and wafer 2 are off the fabric.
+  Fabric fab = make_fabric();
+  PlanCache cache{fab};
+  const std::uint64_t key = fab.ledger_key();
+  EXPECT_FALSE(cache.route_for(Demand{{0, 42}, {0, 1}, 1}).has_value());
+  EXPECT_FALSE(cache.route_for(Demand{{1, 3}, {1, 42}, 1}).has_value());
+  EXPECT_FALSE(cache.route_for(Demand{{2, 0}, {2, 3}, 1}).has_value());
+  EXPECT_EQ(cache.stats().route_hits, 0u);
+  EXPECT_EQ(cache.stats().route_misses, 0u);
+  EXPECT_EQ(fab.ledger_key(), key);
 }
 
 TEST(PlanCacheRouteFor, LedgerChangeForcesFreshSearch) {

@@ -428,9 +428,11 @@ class DimensionOrdered : public ::testing::Test {
     const TileId t = wafer.tile_at(at);
     ASSERT_TRUE(wafer.reserve_lanes(t, d, wafer.lanes_free(t, d)));
   }
-  [[nodiscard]] Route route() const { return find_route(wafer, from, to); }
-  [[nodiscard]] Route reference() const {
-    return reference_route<Counted>(wafer, from, to, {});
+  [[nodiscard]] Route route(const RouteOptions& o = {}) const {
+    return find_route(wafer, from, to, o);
+  }
+  [[nodiscard]] Route reference(const RouteOptions& o = {}) const {
+    return reference_route<Counted>(wafer, from, to, o);
   }
 
   Wafer wafer;
@@ -476,6 +478,90 @@ TEST_F(DimensionOrdered, BothBlockedDetourAddsHops) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r, reference());
   EXPECT_GT(r->size(), manhattan(wafer, from, to));
+}
+
+TEST_F(DimensionOrdered, ClosedFormNeedsOneTurnToBeatTwo) {
+  // With rows first cut, the free columns-first L is the only one-turn route.
+  // It is the unique minimum only where one turn is worth strictly less than
+  // two: at penalty 0 every staircase ties with it, and at 1e-300 or 1e-15
+  // the values 8 + penalty and 8 + 2 x penalty round to the same double.  The
+  // search then returns the staircase the tie-break picks, not the L.
+  block(TileCoord{2, 0}, D::kSouth);
+  const std::vector<Direction> staircase{D::kEast,  D::kSouth, D::kSouth, D::kSouth,
+                                         D::kEast,  D::kEast,  D::kEast,  D::kEast};
+  for (const double penalty : {0.0, 1e-300, 1e-15}) {
+    RouteOptions opts;
+    opts.turn_penalty = penalty;
+    const Route r = route(opts);
+    ASSERT_TRUE(r.has_value()) << penalty;
+    EXPECT_EQ(r, reference(opts)) << penalty;
+    EXPECT_NE(r, kColumnsFirst) << penalty;
+    EXPECT_GT(turns(*r), 1u) << penalty;
+  }
+  RouteOptions tiny;
+  tiny.turn_penalty = 1e-15;
+  EXPECT_EQ(route(tiny), staircase);
+  RouteOptions quarter;
+  quarter.turn_penalty = 0.25;
+  EXPECT_EQ(route(quarter), kColumnsFirst);
+  EXPECT_EQ(route(quarter), reference(quarter));
+}
+
+TEST(Router, FreeDimensionOrderedRoutesMatchReference) {
+  // Both L's free, from (1,3) into each quadrant: the route arrives in the
+  // lower direction of the two, as the tie-break contract picks it.
+  const Wafer open;
+  const TileId center = open.tile_at(TileCoord{1, 3});
+  const TileCoord corners[] = {{0, 6}, {0, 0}, {3, 6}, {3, 1}};  // NE NW SE SW
+  for (const TileCoord at : corners) {
+    const TileId to = open.tile_at(at);
+    const Route r = find_route(open, center, to);
+    ASSERT_TRUE(r.has_value()) << at.row << "," << at.col;
+    EXPECT_EQ(r, reference_route<Counted>(open, center, to, {})) << at.row << "," << at.col;
+    EXPECT_EQ(turns(*r), 1u);
+    EXPECT_EQ(r->back(), std::min(r->front(), r->back())) << at.row << "," << at.col;
+  }
+
+  // An aligned pair at penalty 0: the straight path is the only route with
+  // Manhattan hops, whatever a turn costs.
+  RouteOptions free_turns;
+  free_turns.turn_penalty = 0.0;
+  for (const auto& [a, b] : {std::pair{TileCoord{1, 0}, TileCoord{1, 6}},
+                             std::pair{TileCoord{3, 5}, TileCoord{0, 5}}}) {
+    const Route r = find_route(open, open.tile_at(a), open.tile_at(b), free_turns);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r, reference_route<Counted>(open, open.tile_at(a), open.tile_at(b), free_turns));
+    EXPECT_EQ(turns(*r), 0u);
+  }
+
+  // Two lanes wanted, and rows first from (0,0) to (3,5) holds one free lane
+  // on its edge south of (1,0): columns first is the answer.  With one lane
+  // wanted both L's are free again and rows first wins the tie.
+  WaferParams params;
+  params.lanes_per_edge = 4;
+  Wafer scarce{params};
+  const TileId narrowed = scarce.tile_at(TileCoord{1, 0});
+  ASSERT_TRUE(scarce.reserve_lanes(narrowed, D::kSouth, 3));
+  const TileId from = scarce.tile_at(TileCoord{0, 0});
+  const TileId to = scarce.tile_at(TileCoord{3, 5});
+  RouteOptions two;
+  two.lanes = 2;
+  EXPECT_EQ(find_route(scarce, from, to, two), kColumnsFirst);
+  EXPECT_EQ(find_route(scarce, from, to, two), reference_route<Counted>(scarce, from, to, two));
+  EXPECT_EQ(find_route(scarce, from, to), kRowsFirst);
+  EXPECT_EQ(find_route(scarce, from, to), reference_route<Counted>(scarce, from, to, {}));
+}
+
+TEST(Router, OffWaferTileHasNoRoute) {
+  // Tile ids at or past tile_count() name no tile; no lane is read for them.
+  const Wafer wafer;  // 4x8: tiles 0..31
+  const TileId last = wafer.tile_count() - 1;
+  EXPECT_FALSE(find_route(wafer, 0, 41).has_value());
+  EXPECT_FALSE(find_route(wafer, 41, 0).has_value());
+  EXPECT_FALSE(find_route(wafer, 0, wafer.tile_count()).has_value());
+  EXPECT_FALSE(find_route(wafer, wafer.tile_count(), last).has_value());
+  EXPECT_FALSE(find_route(wafer, 41, 41).has_value());
+  EXPECT_TRUE(find_route(wafer, 0, last).has_value());
 }
 
 TEST(Router, AlignedPairWithStraightLineBlocked) {

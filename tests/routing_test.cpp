@@ -98,6 +98,36 @@ TEST(Planner, PlacesRingDemands) {
   EXPECT_EQ(fab.active_circuits(), 0u);
 }
 
+TEST(Planner, OffFabricDemandFailsWithoutSideEffects) {
+  // Tile 42 lies past the default 4x8 wafer, and wafer 1 past a one-wafer
+  // fabric: no such demand is placed, and the ledger does not move.
+  Fabric fab;
+  CircuitPlanner planner{fab};
+  const std::uint64_t key = fab.ledger_key();
+  const std::vector<Demand> off{Demand{GlobalTile{0, 42}, GlobalTile{0, 1}, 1},
+                                Demand{GlobalTile{0, 1}, GlobalTile{0, 42}, 1},
+                                Demand{GlobalTile{1, 0}, GlobalTile{1, 3}, 1}};
+  for (const Demand& d : off) EXPECT_FALSE(planner.place_one(d).ok());
+  const PlanReport report = planner.place_all(off);
+  EXPECT_TRUE(report.placed.empty());
+  EXPECT_EQ(report.failed, plan_order(fab, off));
+  EXPECT_EQ(fab.active_circuits(), 0u);
+  EXPECT_EQ(fab.ledger_key(), key);
+
+  // plan_order keys them like cross-wafer demands, ahead of every same-wafer
+  // one, and the same-wafer demand still places.
+  const Demand on{GlobalTile{0, 0}, GlobalTile{0, 31}, 1};
+  std::vector<Demand> mixed{on};
+  mixed.insert(mixed.end(), off.begin(), off.end());
+  EXPECT_EQ(plan_order(fab, mixed).back(), on);
+  const PlanReport partial = planner.place_all(mixed);
+  ASSERT_EQ(partial.placed.size(), 1u);
+  EXPECT_EQ(partial.placed.front().demand, on);
+  EXPECT_EQ(partial.failed.size(), off.size());
+  planner.release_all(partial);
+  EXPECT_EQ(fab.ledger_key(), key);
+}
+
 TEST(Planner, ReportsFailuresWithoutAbandoningRest) {
   FabricConfig config;
   config.wafer.lanes_per_edge = 8192;
