@@ -51,7 +51,7 @@ Result<Duration> HostStack::send(GlobalTile src, GlobalTile dst, DataSize bytes)
     peers.insert(peers.begin(), Peer{dst, attempt.value()});
     const fabric::Circuit* c = fabric_.circuit(attempt.value());
     const Duration setup =
-        fabric_.reconfig().batch_latency(c != nullptr ? c->mzis_to_program() : 1);
+        fabric_.reconfig().batch_latency(c != nullptr ? c->mzi_count : 1);
     stats_.reconfig_time += setup;
     latency += setup;
   }

@@ -32,6 +32,10 @@ struct Circuit {
   std::vector<Segment> segments;
   unsigned fiber_hops{0};
   Length fiber_length{Length::zero()};
+  /// mzis_to_program(), stored by Fabric when it commits the circuit so
+  /// teardown and the planners' reports do not walk the hops again.  A
+  /// circuit built by hand carries 0 here.
+  unsigned mzi_count{0};
 
   /// Total on-wafer hop count across segments.
   [[nodiscard]] std::size_t waveguide_hop_count() const;

@@ -1,6 +1,7 @@
 #include "lightpath/fabric.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 
 namespace lp::fabric {
@@ -49,32 +50,32 @@ Bandwidth Fabric::per_wavelength_rate() const {
   return phys::Modulator{config_.modulator}.line_rate();
 }
 
+void Fabric::write_xy_route(const Wafer& wafer, TileId from, TileId to, bool rows_first,
+                            std::vector<Direction>& hops) {
+  const TileCoord c = wafer.coord_of(from);
+  const TileCoord goal = wafer.coord_of(to);
+  const auto cols = static_cast<std::size_t>(std::abs(goal.col - c.col));
+  const auto rows = static_cast<std::size_t>(std::abs(goal.row - c.row));
+  const Direction col_dir = c.col < goal.col ? Direction::kEast : Direction::kWest;
+  const Direction row_dir = c.row < goal.row ? Direction::kSouth : Direction::kNorth;
+  hops.clear();
+  hops.reserve(cols + rows);
+  if (rows_first) hops.insert(hops.end(), rows, row_dir);
+  hops.insert(hops.end(), cols, col_dir);
+  if (!rows_first) hops.insert(hops.end(), rows, row_dir);
+}
+
 std::vector<Direction> Fabric::xy_route(const Wafer& wafer, TileId from, TileId to,
                                         bool rows_first) {
   std::vector<Direction> hops;
-  TileCoord c = wafer.coord_of(from);
-  const TileCoord goal = wafer.coord_of(to);
-  const auto cols = [&] {
-    while (c.col != goal.col) {
-      hops.push_back(c.col < goal.col ? Direction::kEast : Direction::kWest);
-      c.col += c.col < goal.col ? 1 : -1;
-    }
-  };
-  const auto rows = [&] {
-    while (c.row != goal.row) {
-      hops.push_back(c.row < goal.row ? Direction::kSouth : Direction::kNorth);
-      c.row += c.row < goal.row ? 1 : -1;
-    }
-  };
-  if (rows_first) rows();
-  cols();
-  rows();
+  write_xy_route(wafer, from, to, rows_first, hops);
   return hops;
 }
 
-template <typename Route>
+template <typename WriteRoute>
 Result<CircuitId> Fabric::commit_same_wafer(GlobalTile a, GlobalTile b,
-                                            std::uint32_t wavelengths, Route&& route) {
+                                            std::uint32_t wavelengths,
+                                            WriteRoute&& write_route) {
   Wafer& w = wafers_[a.wafer];
   if (!w.reserve_tx(a.tile, wavelengths))
     return Err("tile " + std::to_string(a.tile) + ": not enough free Tx wavelengths");
@@ -82,20 +83,13 @@ Result<CircuitId> Fabric::commit_same_wafer(GlobalTile a, GlobalTile b,
     w.release_tx(a.tile, wavelengths);
     return Err("tile " + std::to_string(b.tile) + ": not enough free Rx wavelengths");
   }
-  std::vector<Direction> hops = route();
-  if (auto reserved = w.reserve_path(a.tile, hops, wavelengths); !reserved) {
+  write_route(route_[0]);
+  if (auto reserved = w.reserve_path(a.tile, route_[0], wavelengths); !reserved) {
     w.release_tx(a.tile, wavelengths);
     w.release_rx(b.tile, wavelengths);
     return Err("lane reservation failed: " + reserved.error().message);
   }
-
-  Circuit c;
-  c.src = a;
-  c.dst = b;
-  c.wavelengths = wavelengths;
-  c.segments.push_back(Circuit::Segment{a.wafer, a.tile, std::move(hops)});
-  reconfig_.reconfigure(c.mzis_to_program());
-  return register_circuit(std::move(c));
+  return register_circuit(a, b, wavelengths, std::nullopt);
 }
 
 Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wavelengths) {
@@ -103,14 +97,15 @@ Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wave
   if (!contains(a) || !contains(b)) return Err("wafer or tile id out of range");
   if (a == b) return Err("source and destination tile are the same");
   if (a.wafer == b.wafer) {
-    return commit_same_wafer(a, b, wavelengths,
-                             [&] { return xy_route(wafers_[a.wafer], a.tile, b.tile); });
+    return commit_same_wafer(a, b, wavelengths, [&](std::vector<Direction>& hops) {
+      write_xy_route(wafers_[a.wafer], a.tile, b.tile, false, hops);
+    });
   }
   return connect_cross_wafer(a, b, wavelengths);
 }
 
 Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
-                                      std::vector<Direction> hops,
+                                      const std::vector<Direction>& hops,
                                       std::uint32_t wavelengths) {
   if (wavelengths == 0) return Err("zero wavelengths requested");
   if (a.wafer != b.wafer) return Err("connect_via requires a same-wafer path");
@@ -125,7 +120,9 @@ Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
     at = *next;
   }
   if (at != b.tile) return Err("path does not end at the destination tile");
-  return commit_same_wafer(a, b, wavelengths, [&] { return std::move(hops); });
+  return commit_same_wafer(a, b, wavelengths, [&](std::vector<Direction>& out) {
+    out.assign(hops.begin(), hops.end());
+  });
 }
 
 std::optional<Fabric::FiberChoice> Fabric::find_fiber(WaferId from, WaferId to,
@@ -133,6 +130,8 @@ std::optional<Fabric::FiberChoice> Fabric::find_fiber(WaferId from, WaferId to,
   for (std::size_t i = 0; i < fiber_links_.size(); ++i) {
     const FiberLink& link = fiber_links_[i];
     if (link.down || link.fibers - link.used < fibers) continue;
+    // A link declared with an endpoint off its wafer carries nothing.
+    if (!contains(link.a) || !contains(link.b)) continue;
     if (link.a.wafer == from && link.b.wafer == to) return FiberChoice{i, true};
     if (link.b.wafer == from && link.a.wafer == to) return FiberChoice{i, false};
   }
@@ -161,79 +160,82 @@ Result<CircuitId> Fabric::connect_cross_wafer(GlobalTile a, GlobalTile b,
     return Err("destination tile: not enough free Rx wavelengths");
   }
 
-  auto hops_a = xy_route(wa, a.tile, exit.tile);
-  auto hops_b = xy_route(wb, entry.tile, b.tile);
-  if (auto r = wa.reserve_path(a.tile, hops_a, wavelengths); !r) {
+  write_xy_route(wa, a.tile, exit.tile, false, route_[0]);
+  write_xy_route(wb, entry.tile, b.tile, false, route_[1]);
+  if (auto r = wa.reserve_path(a.tile, route_[0], wavelengths); !r) {
     wa.release_tx(a.tile, wavelengths);
     wb.release_rx(b.tile, wavelengths);
     return Err("source wafer lanes: " + r.error().message);
   }
-  if (auto r = wb.reserve_path(entry.tile, hops_b, wavelengths); !r) {
-    wa.release_path(a.tile, hops_a, wavelengths);
+  if (auto r = wb.reserve_path(entry.tile, route_[1], wavelengths); !r) {
+    wa.release_path(a.tile, route_[0], wavelengths);
     wa.release_tx(a.tile, wavelengths);
     wb.release_rx(b.tile, wavelengths);
     return Err("destination wafer lanes: " + r.error().message);
   }
   link.used += wavelengths;
+  return register_circuit(a, b, wavelengths, Crossing{choice->link_index, entry});
+}
 
-  Circuit c;
+CircuitId Fabric::register_circuit(GlobalTile a, GlobalTile b, std::uint32_t wavelengths,
+                                   std::optional<Crossing> crossing) {
+  const CircuitId id = next_id_++;
+  CircuitSlot& slot = circuits_.insert(id);
+  Circuit& c = slot.circuit;
+  c.id = id;
   c.src = a;
   c.dst = b;
   c.wavelengths = wavelengths;
-  c.segments.push_back(Circuit::Segment{a.wafer, a.tile, std::move(hops_a)});
-  c.segments.push_back(Circuit::Segment{b.wafer, entry.tile, std::move(hops_b)});
-  c.fiber_hops = 1;
-  c.fiber_length = link.length;
-  reconfig_.reconfigure(c.mzis_to_program());
-
-  const CircuitId id = register_circuit(std::move(c));
-  circuit_fiber_[id] = choice->link_index;
-  return id;
-}
-
-CircuitId Fabric::register_circuit(Circuit&& circuit) {
-  const CircuitId id = next_id_++;
-  circuit.id = id;
-  circuits_.emplace(id, std::move(circuit));
+  const std::array<GlobalTile, 2> starts{a, crossing ? crossing->entry : GlobalTile{}};
+  c.segments.resize(crossing ? 2 : 1);
+  for (std::size_t k = 0; k < c.segments.size(); ++k) {
+    c.segments[k].wafer = starts[k].wafer;
+    c.segments[k].from = starts[k].tile;
+    c.segments[k].hops.swap(route_[k]);
+  }
+  c.fiber_hops = crossing ? 1 : 0;
+  c.fiber_length = crossing ? fiber_links_[crossing->link_index].length : Length::zero();
+  c.mzi_count = c.mzis_to_program();
+  slot.fiber_link =
+      crossing ? std::optional<std::size_t>{crossing->link_index} : std::nullopt;
+  reconfig_.reconfigure(c.mzi_count);
   return id;
 }
 
 void Fabric::disconnect(CircuitId id) {
-  const auto it = circuits_.find(id);
-  if (it == circuits_.end()) return;
-  const Circuit& c = it->second;
+  const CircuitSlot* slot = circuits_.find(id);
+  if (slot == nullptr) return;
+  const Circuit& c = slot->circuit;
   for (const auto& seg : c.segments) {
     wafers_[seg.wafer].release_path(seg.from, seg.hops, c.wavelengths);
   }
   wafers_[c.src.wafer].release_tx(c.src.tile, c.wavelengths);
   wafers_[c.dst.wafer].release_rx(c.dst.tile, c.wavelengths);
-  if (const auto fit = circuit_fiber_.find(id); fit != circuit_fiber_.end()) {
-    FiberLink& link = fiber_links_[fit->second];
+  if (slot->fiber_link) {
+    FiberLink& link = fiber_links_[*slot->fiber_link];
     link.used -= std::min(link.used, c.wavelengths);
-    circuit_fiber_.erase(fit);
   }
   // Tearing down also programs switches (back to a parked state).
-  reconfig_.reconfigure(c.mzis_to_program());
-  circuits_.erase(it);
+  reconfig_.reconfigure(c.mzi_count);
+  circuits_.erase(id);
 }
 
 std::vector<CircuitId> Fabric::circuit_ids() const {
   std::vector<CircuitId> ids;
   ids.reserve(circuits_.size());
-  for (const auto& [id, c] : circuits_) ids.push_back(id);
+  circuits_.for_each([&](CircuitId id, const CircuitSlot&) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 std::optional<std::size_t> Fabric::fiber_link_of(CircuitId id) const {
-  const auto it = circuit_fiber_.find(id);
-  if (it == circuit_fiber_.end()) return std::nullopt;
-  return it->second;
+  const CircuitSlot* slot = circuits_.find(id);
+  return slot == nullptr ? std::nullopt : slot->fiber_link;
 }
 
 const Circuit* Fabric::circuit(CircuitId id) const {
-  const auto it = circuits_.find(id);
-  return it == circuits_.end() ? nullptr : &it->second;
+  const CircuitSlot* slot = circuits_.find(id);
+  return slot == nullptr ? nullptr : &slot->circuit;
 }
 
 Bandwidth Fabric::circuit_bandwidth(CircuitId id) const {

@@ -17,10 +17,9 @@
 // resource ledger via reserve_path()/release_path().
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "lightpath/circuit.hpp"
@@ -30,6 +29,7 @@
 #include "phys/link_budget.hpp"
 #include "phys/modulator.hpp"
 #include "util/result.hpp"
+#include "util/slot_table.hpp"
 
 namespace lp::fabric {
 
@@ -90,13 +90,17 @@ class Fabric {
 
   /// Like connect(), but along an explicit same-wafer hop path (produced by
   /// an external router).  The path must lead from a.tile to b.tile, and
-  /// the two tiles must differ, as for connect().
+  /// the two tiles must differ, as for connect().  The circuit keeps its
+  /// own copy of the hops.
   Result<CircuitId> connect_via(GlobalTile a, GlobalTile b,
-                                std::vector<Direction> hops, std::uint32_t wavelengths);
+                                const std::vector<Direction>& hops,
+                                std::uint32_t wavelengths);
 
   /// Tear down a circuit and release all its resources.  Idempotent.
   void disconnect(CircuitId id);
 
+  /// The established circuit `id`, or nullptr.  The pointer stays valid
+  /// until that circuit is disconnected.
   [[nodiscard]] const Circuit* circuit(CircuitId id) const;
   [[nodiscard]] std::size_t active_circuits() const { return circuits_.size(); }
 
@@ -139,8 +143,8 @@ class Fabric {
   /// Wafer::ledger_key() chained with every fiber link's (used, down), so
   /// O(wafers + links) per call.  Deterministic planning is a pure function
   /// of this state, so key equality is sufficient for a memoized plan to
-  /// replay exactly (barring a 2^-64 collision), whatever writes came
-  /// between.
+  /// replay exactly (barring a collision, see Wafer::ledger_key()),
+  /// whatever writes came between.
   [[nodiscard]] std::uint64_t ledger_key() const;
 
  private:
@@ -149,27 +153,54 @@ class Fabric {
     bool forward;  ///< true if routing a->b along the stored link
   };
 
-  /// First fiber link between the two wafers with >= `fibers` spare.
+  /// A cross-wafer circuit's fiber link and the tile where its second
+  /// segment starts.
+  struct Crossing {
+    std::size_t link_index;
+    GlobalTile entry;
+  };
+
+  /// One established circuit and the fiber link it rides, if any.
+  struct CircuitSlot {
+    Circuit circuit;
+    std::optional<std::size_t> fiber_link;
+  };
+
+  /// Writes the dimension-ordered route from `from` to `to` into `hops`.
+  static void write_xy_route(const Wafer& wafer, TileId from, TileId to, bool rows_first,
+                             std::vector<Direction>& hops);
+
+  /// First fiber link between the two wafers with >= `fibers` spare whose
+  /// endpoints are both on the fabric.
   [[nodiscard]] std::optional<FiberChoice> find_fiber(WaferId from, WaferId to,
                                                       std::uint32_t fibers) const;
 
-  /// Reserves Tx at a, Rx at b and then the lanes along route() on their
-  /// wafer, and registers the circuit; releases what it took if a step
-  /// fails.  route() runs only once Tx and Rx are held, so a connect that
-  /// fails for want of lambdas walks no route.
-  template <typename Route>
+  /// Reserves Tx at a, Rx at b and then the lanes along the route that
+  /// write_route(route_[0]) writes, and registers the circuit; releases
+  /// what it took if a step fails.  The route is written only once Tx and
+  /// Rx are held, so a connect that fails for want of lambdas walks none.
+  template <typename WriteRoute>
   Result<CircuitId> commit_same_wafer(GlobalTile a, GlobalTile b,
-                                      std::uint32_t wavelengths, Route&& route);
+                                      std::uint32_t wavelengths, WriteRoute&& write_route);
   Result<CircuitId> connect_cross_wafer(GlobalTile a, GlobalTile b,
                                         std::uint32_t wavelengths);
 
-  CircuitId register_circuit(Circuit&& circuit);
+  /// Stores a committed circuit under the next id and programs its
+  /// switches: one segment from `a` along route_[0], plus one from the
+  /// crossing's entry along route_[1] when it crosses wafers.  Every field
+  /// of the (possibly recycled) slot is overwritten, and the route buffers
+  /// take back the hop vectors the slot held.
+  CircuitId register_circuit(GlobalTile a, GlobalTile b, std::uint32_t wavelengths,
+                             std::optional<Crossing> crossing);
 
   FabricConfig config_;
   std::vector<Wafer> wafers_;
   std::vector<FiberLink> fiber_links_;
-  std::unordered_map<CircuitId, Circuit> circuits_;
-  std::unordered_map<CircuitId, std::size_t> circuit_fiber_;  ///< circuit -> fiber link index
+  util::SlotTable<CircuitSlot> circuits_;
+  /// Hops of the circuit being committed, one buffer per segment.  They
+  /// trade places with a slot's hop vectors on commit, so steady churn
+  /// reuses route storage instead of allocating it.
+  std::array<std::vector<Direction>, 2> route_;
   ReconfigController reconfig_;
   CircuitId next_id_{1};
   std::uint64_t epoch_{0};

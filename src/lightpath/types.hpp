@@ -74,10 +74,13 @@ struct GlobalTile {
 }
 
 /// One ledger slot's share of an order-free ledger key (Wafer::ledger_key):
-/// a splitmix64 hash of (slot, value), and 0 for an empty slot, so an
-/// unused ledger keys to 0 without hashing anything.  Requires slot < 2^32.
-[[nodiscard]] constexpr std::uint64_t ledger_term(std::uint64_t slot, std::uint32_t value) {
-  return value == 0 ? 0 : splitmix64(slot << 32 | value);
+/// value × w(slot), wrapping mod 2^64, where the slot's weight w(slot) =
+/// splitmix64(slot) | 1 is odd.  An empty slot contributes 0, so an unused
+/// ledger keys to 0, and the term is linear in the value: a write from
+/// `before` to `after` moves the key by ledger_term(slot, after − before),
+/// the difference taken mod 2^64, at the cost of one hash.
+[[nodiscard]] constexpr std::uint64_t ledger_term(std::uint64_t slot, std::uint64_t value) {
+  return value * (splitmix64(slot) | 1);
 }
 
 }  // namespace lp::fabric

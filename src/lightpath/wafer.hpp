@@ -110,10 +110,13 @@ class Wafer {
   [[nodiscard]] std::uint64_t ledger_digest(std::uint64_t h) const;
 
   /// Order-free 64-bit key of the same state, kept up to date on every
-  /// write: the wrapping sum of ledger_term(slot, value) over every edge's
-  /// lanes used and every tile's Tx used and Rx used.  A function of the
-  /// state alone, not of the writes that led to it, and 0 for an unused
-  /// wafer.  Equal keys mean equal ledgers barring a 2^-64 collision.
+  /// write: the wrapping sum of ledger_term(slot, value), value × an odd
+  /// per-slot weight, over every edge's lanes used and every tile's Tx used
+  /// and Rx used.  A function of the state alone, not of the writes that
+  /// led to it, 0 for an unused wafer, and one hash per write.  Two ledgers
+  /// collide only if Σ δ_s × weight(s) ≡ 0 (mod 2^64) for their per-slot
+  /// differences δ_s: the odds of a 64-bit collision up to a factor 2^t,
+  /// where 2^t divides every nonzero δ_s (t ≤ 13 at 8192 lanes per edge).
   [[nodiscard]] std::uint64_t ledger_key() const { return key_; }
 
  private:
@@ -144,7 +147,7 @@ class Wafer {
 
   /// Moves `slot` from `before` to `after` in the ledger key.
   void rekey(std::size_t slot, std::uint32_t before, std::uint32_t after) {
-    key_ += ledger_term(slot, after) - ledger_term(slot, before);
+    key_ += ledger_term(slot, std::uint64_t{after} - before);
   }
   /// Edge `i` takes (gives back, clamped at 0) `n` lanes; the key follows.
   void take_lanes(std::size_t i, std::uint32_t n) {

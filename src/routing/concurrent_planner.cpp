@@ -98,7 +98,7 @@ ConcurrentPlanResult plan_jobs(fabric::Fabric& fab,
       if (fast) ++result.stats.fast_path_commits;
       if (placed) {
         const fabric::Circuit* c = fab.circuit(placed.value());
-        report.mzis_programmed += c != nullptr ? c->mzis_to_program() : 0;
+        report.mzis_programmed += c != nullptr ? c->mzi_count : 0;
         report.placed.push_back(PlacedCircuit{p.demand, placed.value()});
       } else {
         report.failed.push_back(p.demand);

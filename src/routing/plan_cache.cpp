@@ -115,7 +115,7 @@ std::optional<PlanReport> PlanCache::try_replay(Entry& entry) {
       return std::nullopt;
     }
     const fabric::Circuit* c = fabric_.circuit(placed.value());
-    report.mzis_programmed += c != nullptr ? c->mzis_to_program() : 0;
+    report.mzis_programmed += c != nullptr ? c->mzi_count : 0;
     report.placed.push_back(PlacedCircuit{step.demand, placed.value()});
   }
   report.failed = entry.failed;

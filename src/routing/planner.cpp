@@ -53,7 +53,7 @@ Result<fabric::CircuitId> CircuitPlanner::place_one(const Demand& demand) {
   auto hops =
       find_route(fabric_.wafer(demand.src.wafer), demand.src.tile, demand.dst.tile, opts);
   if (!hops) return Err("no feasible waveguide path");
-  return fabric_.connect_via(demand.src, demand.dst, std::move(*hops), demand.wavelengths);
+  return fabric_.connect_via(demand.src, demand.dst, *hops, demand.wavelengths);
 }
 
 PlanReport CircuitPlanner::place_all(const std::vector<Demand>& demands) {
@@ -66,7 +66,7 @@ PlanReport CircuitPlanner::place_ordered(const std::vector<Demand>& ordered) {
     auto placed = place_one(d);
     if (placed) {
       const fabric::Circuit* c = fabric_.circuit(placed.value());
-      report.mzis_programmed += c != nullptr ? c->mzis_to_program() : 0;
+      report.mzis_programmed += c != nullptr ? c->mzi_count : 0;
       report.placed.push_back(PlacedCircuit{d, placed.value()});
     } else {
       report.failed.push_back(d);

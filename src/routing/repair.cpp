@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "routing/plan_cache.hpp"
 #include "util/parallel.hpp"
@@ -16,6 +17,11 @@ using fabric::GlobalTile;
 RepairPlan repair_with_spare(Fabric& fab, const RepairRequest& req,
                              const RouteOptions& options) {
   RepairPlan plan;
+  const auto on_fabric = [&](GlobalTile t) { return fab.contains(t); };
+  if (!on_fabric(req.spare) ||
+      !std::all_of(req.neighbors.begin(), req.neighbors.end(), on_fabric)) {
+    return plan;  // incomplete, and nothing was touched
+  }
   unsigned mzis = 0;
 
   auto establish = [&](GlobalTile from, GlobalTile to) -> bool {
@@ -32,7 +38,7 @@ RepairPlan repair_with_spare(Fabric& fab, const RepairRequest& req,
     if (!placed) return false;
     const fabric::Circuit* c = fab.circuit(placed.value());
     if (c != nullptr) {
-      mzis += c->mzis_to_program();
+      mzis += c->mzi_count;
       if (c->fiber_hops > 0) plan.fibers_used += req.wavelengths;
     }
     plan.circuits.push_back(placed.value());
@@ -213,7 +219,7 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
         out.latency += probe_cost(fab);
         continue;
       }
-      const unsigned mzis = fab.circuit(placed.value())->mzis_to_program();
+      const unsigned mzis = fab.circuit(placed.value())->mzi_count;
       fab.disconnect(victim.id);  // break after make
       out.latency += fab.reconfig().batch_latency(mzis);
       succeed(RepairRung::kReroute, {placed.value()});
@@ -314,8 +320,6 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
 Result<std::size_t> choose_spare(const Fabric& fab,
                                  const std::vector<GlobalTile>& candidates,
                                  const std::vector<GlobalTile>& neighbors) {
-  if (candidates.empty()) return Err("no spare candidates");
-
   auto fibers_needed = [&](const GlobalTile& spare) {
     std::uint32_t fibers = 0;
     for (const GlobalTile& n : neighbors) {
@@ -338,10 +342,11 @@ Result<std::size_t> choose_spare(const Fabric& fab,
     return total;
   };
 
-  std::size_t best = 0;
+  std::optional<std::size_t> best;
   std::uint32_t best_fibers = std::numeric_limits<std::uint32_t>::max();
   std::int32_t best_distance = std::numeric_limits<std::int32_t>::max();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (!fab.contains(candidates[i])) continue;  // a spare off the fabric repairs nothing
     const std::uint32_t f = fibers_needed(candidates[i]);
     const std::int32_t dist = distance(candidates[i]);
     if (f < best_fibers || (f == best_fibers && dist < best_distance)) {
@@ -350,7 +355,8 @@ Result<std::size_t> choose_spare(const Fabric& fab,
       best_distance = dist;
     }
   }
-  return best;
+  if (!best) return Err("no spare candidate on the fabric");
+  return *best;
 }
 
 }  // namespace lp::routing

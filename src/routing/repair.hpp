@@ -46,6 +46,8 @@ struct RepairPlan {
 /// complete=false is returned with reconfig_latency zero — nothing was
 /// committed, so nothing is charged; the caller accounts its own probe
 /// cost (escalate_repair charges one settle per failed optical attempt).
+/// A spare or neighbor off the fabric gets the same incomplete plan before
+/// anything is looked up or placed.
 [[nodiscard]] RepairPlan repair_with_spare(fabric::Fabric& fab, const RepairRequest& req,
                                            const RouteOptions& options = {});
 
@@ -53,8 +55,9 @@ struct RepairPlan {
 /// fault tolerance"): among candidate spare tiles, pick the one whose
 /// repair would consume the fewest fibers (same-wafer spares win), breaking
 /// ties by total Manhattan distance to the neighbors (first candidate wins
-/// an exact tie).  Returns the index into `candidates`, or an error if
-/// empty.
+/// an exact tie).  Candidates off the fabric are never picked.  Returns
+/// the index into `candidates`, or an error if no candidate is on the
+/// fabric.
 [[nodiscard]] Result<std::size_t> choose_spare(const fabric::Fabric& fab,
                                                const std::vector<fabric::GlobalTile>& candidates,
                                                const std::vector<fabric::GlobalTile>& neighbors);

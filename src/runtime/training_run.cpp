@@ -149,7 +149,7 @@ Duration TrainingRun::shrink_ring(std::size_t i, RunReport& report) {
     if (placed) {
       circuits_[pe] = placed.value();
       const fabric::Circuit* c = fab_.circuit(placed.value());
-      dur += fab_.reconfig().batch_latency(c->mzis_to_program());
+      dur += fab_.reconfig().batch_latency(c->mzi_count);
       return dur;
     }
     const std::size_t drop = (pe + 1) % members_.size();

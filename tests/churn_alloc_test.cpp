@@ -1,0 +1,106 @@
+// Steady-state circuit churn on a Fabric allocates nothing: a committed
+// circuit takes a recycled slot whose hop vectors kept their capacity, and
+// its route is written into buffers that trade places with that slot's.
+//
+// This binary replaces the global operator new and delete (plain, sized and
+// array forms) to count heap allocations, so it holds no other suite.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <utility>
+#include <vector>
+
+#include "lightpath/fabric.hpp"
+
+namespace {
+std::atomic<std::size_t> allocations{0};
+}  // namespace
+
+// Not inlined: GCC would otherwise see free() meet a pointer from
+// operator new at the call site and warn of a mismatched pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace lp::fabric {
+namespace {
+
+constexpr int kCycles = 1000;
+
+/// A 16×16 wafer with a few long-lived circuits already placed, so churn
+/// shares the table with entries that never leave it.
+Fabric loaded_fabric() {
+  FabricConfig config;
+  config.wafer.rows = 16;
+  config.wafer.cols = 16;
+  Fabric fab{config};
+  for (const auto& [from, to] : {std::pair{TileCoord{0, 0}, TileCoord{15, 15}},
+                                 std::pair{TileCoord{4, 12}, TileCoord{11, 1}},
+                                 std::pair{TileCoord{9, 9}, TileCoord{9, 2}}}) {
+    const Wafer& w = fab.wafer(0);
+    EXPECT_TRUE(fab.connect({0, w.tile_at(from)}, {0, w.tile_at(to)}, 2).ok());
+  }
+  return fab;
+}
+
+/// Heap allocations made by `n` runs of `cycle`.
+template <typename Cycle>
+std::size_t allocations_over(int n, Cycle&& cycle) {
+  const std::size_t before = allocations.load();
+  for (int i = 0; i < n; ++i) cycle();
+  return allocations.load() - before;
+}
+
+TEST(ChurnAllocations, ConnectAndDisconnectAllocateNothing) {
+  Fabric fab = loaded_fabric();
+  const Wafer& w = fab.wafer(0);
+  const GlobalTile a{0, w.tile_at(TileCoord{2, 3})};
+  const GlobalTile b{0, w.tile_at(TileCoord{8, 9})};  // a 12-hop XY route
+  int failures = 0;
+  const auto cycle = [&] {
+    const Result<CircuitId> id = fab.connect(a, b, 4);
+    if (!id) {
+      ++failures;
+      return;
+    }
+    fab.disconnect(id.value());
+  };
+  for (int i = 0; i < 4; ++i) cycle();  // warm-up: the slot and buffers grow once
+  EXPECT_EQ(allocations_over(kCycles, cycle), 0u);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(fab.active_circuits(), 3u);
+}
+
+TEST(ChurnAllocations, ConnectViaAndDisconnectAllocateNothing) {
+  Fabric fab = loaded_fabric();
+  const Wafer& w = fab.wafer(0);
+  const GlobalTile a{0, w.tile_at(TileCoord{2, 3})};
+  const GlobalTile b{0, w.tile_at(TileCoord{8, 9})};
+  const std::vector<Direction> hops = Fabric::xy_route(w, a.tile, b.tile, true);
+  int failures = 0;
+  const auto cycle = [&] {
+    const Result<CircuitId> id = fab.connect_via(a, b, hops, 4);
+    if (!id) {
+      ++failures;
+      return;
+    }
+    fab.disconnect(id.value());
+  };
+  for (int i = 0; i < 4; ++i) cycle();
+  EXPECT_EQ(allocations_over(kCycles, cycle), 0u);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(fab.active_circuits(), 3u);
+}
+
+}  // namespace
+}  // namespace lp::fabric

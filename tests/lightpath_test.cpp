@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "lightpath/circuit.hpp"
 #include "lightpath/fabric.hpp"
 #include "lightpath/reconfig.hpp"
 #include "lightpath/tile.hpp"
 #include "lightpath/wafer.hpp"
+#include "util/rng.hpp"
 
 namespace lp::fabric {
 namespace {
@@ -412,6 +418,180 @@ TEST(Fabric, ReconfigAccountsBatches) {
   const auto before = fab.reconfig().batches();
   ASSERT_TRUE(fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 1).ok());
   EXPECT_EQ(fab.reconfig().batches(), before + 1);
+}
+
+
+TEST(Fabric, FiberLinkOffItsWaferCarriesNoCircuit) {
+  FabricConfig config;
+  config.wafer_count = 2;
+  Fabric fab{config};
+  // Tile 999 is past the 32-tile wafer; a link ending there carries
+  // nothing in either direction, and a refused connect writes nothing.
+  fab.add_fiber_link(GlobalTile{0, 7}, GlobalTile{1, 999}, 4);
+  fab.add_fiber_link(GlobalTile{1, 999}, GlobalTile{0, 7}, 4);
+  const std::uint64_t key = fab.ledger_key();
+  for (const auto& [a, b] : {std::pair{GlobalTile{0, 0}, GlobalTile{1, 5}},
+                             std::pair{GlobalTile{1, 5}, GlobalTile{0, 0}}}) {
+    const auto refused = fab.connect(a, b, 1);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().message.find("no fiber link"), std::string::npos)
+        << refused.error().message;
+    EXPECT_EQ(fab.ledger_key(), key);
+    EXPECT_EQ(fab.active_circuits(), 0u);
+  }
+
+  const std::size_t good = fab.add_fiber_link(GlobalTile{0, 7}, GlobalTile{1, 0}, 4);
+  for (const auto& [a, b] : {std::pair{GlobalTile{0, 0}, GlobalTile{1, 5}},
+                             std::pair{GlobalTile{1, 5}, GlobalTile{0, 0}}}) {
+    const auto placed = fab.connect(a, b, 1);
+    ASSERT_TRUE(placed.ok()) << placed.error().message;
+    EXPECT_EQ(fab.fiber_link_of(placed.value()), good);
+  }
+  EXPECT_EQ(fab.fiber_links()[0].used, 0u);
+  EXPECT_EQ(fab.fiber_links()[1].used, 0u);
+  EXPECT_EQ(fab.fiber_links()[good].used, 2u);
+}
+
+void expect_same_circuit(const Circuit& got, const Circuit& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.wavelengths, want.wavelengths);
+  ASSERT_EQ(got.segments.size(), want.segments.size());
+  for (std::size_t k = 0; k < got.segments.size(); ++k) {
+    EXPECT_EQ(got.segments[k].wafer, want.segments[k].wafer);
+    EXPECT_EQ(got.segments[k].from, want.segments[k].from);
+    EXPECT_EQ(got.segments[k].hops, want.segments[k].hops);
+  }
+  EXPECT_EQ(got.fiber_hops, want.fiber_hops);
+  EXPECT_EQ(got.fiber_length, want.fiber_length);
+  EXPECT_EQ(got.mzi_count, want.mzi_count);
+}
+
+// Circuit slots are recycled: a commit must overwrite every field of the
+// slot it reuses, a refusal must leave the table and the id counter alone,
+// and a torn-down id must be gone from every lookup.
+TEST(Fabric, RecycledCircuitsMatchTheirCommit) {
+  FabricConfig config;
+  config.wafer_count = 2;
+  config.wafer.lanes_per_edge = 8;  // scarce lanes: some commits are refused
+  std::size_t refused_tx = 0;
+  std::size_t refused_lanes = 0;
+  std::size_t cross = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng{seed};
+    Fabric fab{config};
+    fab.add_fiber_link(GlobalTile{0, 7}, GlobalTile{1, 0}, 6, Length::meters(2.0));
+    fab.add_fiber_link(GlobalTile{0, 31}, GlobalTile{1, 24}, 6, Length::meters(3.5));
+    const TileId tiles = fab.wafer(0).tile_count();
+
+    struct Committed {
+      Circuit circuit;
+      std::optional<std::size_t> link;
+    };
+    std::map<CircuitId, Committed> live;
+    std::vector<CircuitId> gone;
+    CircuitId next_id = 1;
+
+    for (int op = 0; op < 400; ++op) {
+      if (!live.empty() && rng.bernoulli(0.45)) {
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform_index(live.size())));
+        fab.disconnect(it->first);
+        gone.push_back(it->first);
+        live.erase(it);
+        if (rng.bernoulli(0.2)) fab.disconnect(gone[rng.uniform_index(gone.size())]);
+      } else {
+        const GlobalTile a{static_cast<WaferId>(rng.uniform_index(2)),
+                           static_cast<TileId>(rng.uniform_index(tiles))};
+        GlobalTile b{a.wafer, static_cast<TileId>(rng.uniform_index(tiles))};
+        if (b.tile == a.tile) b.tile = (b.tile + 1) % tiles;
+        const std::uint32_t lambdas =
+            rng.bernoulli(0.1) ? 16 : 1 + static_cast<std::uint32_t>(rng.uniform_index(4));
+        const std::uint64_t kind = rng.uniform_index(4);
+        std::optional<std::vector<Direction>> given;
+        Result<CircuitId> placed = Err("unattempted");
+        if (kind == 0) {
+          b.wafer = 1 - a.wafer;
+          placed = fab.connect(a, b, lambdas);
+        } else if (kind == 1) {
+          placed = fab.connect(a, b, lambdas);
+        } else {
+          // connect_via along XY, or along YX (rows first): two different
+          // paths between the same tiles.
+          given = Fabric::xy_route(fab.wafer(a.wafer), a.tile, b.tile, kind == 3);
+          placed = fab.connect_via(a, b, *given, lambdas);
+        }
+        if (!placed) {
+          const std::string& why = placed.error().message;
+          if (why.find("Tx") != std::string::npos) ++refused_tx;
+          if (why.find("lane") != std::string::npos) ++refused_lanes;
+          continue;  // checked below: nothing new is live
+        }
+        ASSERT_EQ(placed.value(), next_id) << "a refusal consumed an id";
+        ++next_id;
+        const Circuit* c = fab.circuit(placed.value());
+        ASSERT_NE(c, nullptr);
+        const std::optional<std::size_t> link = fab.fiber_link_of(placed.value());
+        EXPECT_EQ(c->src, a);
+        EXPECT_EQ(c->dst, b);
+        EXPECT_EQ(c->wavelengths, lambdas);
+        if (a.wafer == b.wafer) {
+          ASSERT_EQ(c->segments.size(), 1u);
+          EXPECT_EQ(c->segments[0].wafer, a.wafer);
+          EXPECT_EQ(c->segments[0].from, a.tile);
+          EXPECT_EQ(c->segments[0].hops,
+                    given ? *given : Fabric::xy_route(fab.wafer(a.wafer), a.tile, b.tile));
+          EXPECT_EQ(c->fiber_hops, 0u);
+          EXPECT_EQ(c->fiber_length, Length::zero());
+          EXPECT_FALSE(link.has_value());
+        } else {
+          ++cross;
+          ASSERT_TRUE(link.has_value());
+          const FiberLink& l = fab.fiber_links()[*link];
+          const bool forward = l.a.wafer == a.wafer;
+          const GlobalTile exit = forward ? l.a : l.b;
+          const GlobalTile entry = forward ? l.b : l.a;
+          ASSERT_EQ(c->segments.size(), 2u);
+          EXPECT_EQ(c->segments[0].wafer, a.wafer);
+          EXPECT_EQ(c->segments[0].from, a.tile);
+          EXPECT_EQ(c->segments[0].hops,
+                    Fabric::xy_route(fab.wafer(a.wafer), a.tile, exit.tile));
+          EXPECT_EQ(c->segments[1].wafer, b.wafer);
+          EXPECT_EQ(c->segments[1].from, entry.tile);
+          EXPECT_EQ(c->segments[1].hops,
+                    Fabric::xy_route(fab.wafer(b.wafer), entry.tile, b.tile));
+          EXPECT_EQ(c->fiber_hops, 1u);
+          EXPECT_EQ(c->fiber_length, l.length);
+        }
+        live.emplace(placed.value(), Committed{*c, link});
+      }
+
+      // After every op: the live set, ascending, each circuit as committed.
+      std::vector<CircuitId> want_ids;
+      for (const auto& [id, committed] : live) {
+        want_ids.push_back(id);
+        const Circuit* c = fab.circuit(id);
+        ASSERT_NE(c, nullptr) << "circuit " << id << " after op " << op;
+        expect_same_circuit(*c, committed.circuit);
+        EXPECT_EQ(c->mzi_count, c->mzis_to_program());
+        EXPECT_EQ(fab.fiber_link_of(id), committed.link);
+      }
+      ASSERT_EQ(fab.circuit_ids(), want_ids) << "after op " << op;
+      EXPECT_EQ(fab.active_circuits(), live.size());
+      for (const CircuitId id : gone) {
+        EXPECT_EQ(fab.circuit(id), nullptr) << id;
+        EXPECT_FALSE(fab.fiber_link_of(id).has_value()) << id;
+        EXPECT_EQ(fab.circuit_bandwidth(id), Bandwidth::zero()) << id;
+        EXPECT_FALSE(fab.circuit_budget(id).closes) << id;
+      }
+    }
+    EXPECT_GT(gone.size(), 50u);
+  }
+  EXPECT_GT(refused_tx, 0u);
+  EXPECT_GT(refused_lanes, 0u);
+  EXPECT_GT(cross, 0u);
 }
 
 }  // namespace

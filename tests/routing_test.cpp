@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "lightpath/fabric.hpp"
 #include "routing/decentralized.hpp"
@@ -340,6 +342,49 @@ TEST(Repair, PartialFailureLeavesNoLeakedReservations) {
     EXPECT_EQ(fab.wafer(0).tile(t).tx_used(), 0u) << "tile " << t;
     EXPECT_EQ(fab.wafer(0).tile(t).rx_used(), 0u) << "tile " << t;
   }
+}
+
+// A spare or neighbor off the fabric — on a wafer the fabric does not have,
+// or past its wafer's last tile — is an incomplete repair that touches
+// nothing: no circuit, no ledger write, no epoch bump.
+TEST(Repair, TilesOffTheFabricLeaveTheFabricUntouched) {
+  Fabric fab;
+  const std::uint64_t key = fab.ledger_key();
+  const std::uint64_t epoch = fab.epoch();
+  const std::vector<std::pair<GlobalTile, std::vector<GlobalTile>>> cases{
+      {GlobalTile{5, 0}, {GlobalTile{5, 1}}},
+      {GlobalTile{5, 0}, {GlobalTile{0, 1}}},
+      {GlobalTile{0, 12}, {GlobalTile{0, 3}, GlobalTile{5, 1}}},
+      {GlobalTile{0, 12}, {GlobalTile{0, 999}}},
+      {GlobalTile{0, 32}, {GlobalTile{0, 3}}},
+  };
+  for (const auto& [spare, neighbors] : cases) {
+    RepairRequest req;
+    req.spare = spare;
+    req.neighbors = neighbors;
+    req.wavelengths = 2;
+    const RepairPlan plan = repair_with_spare(fab, req);
+    EXPECT_FALSE(plan.complete);
+    EXPECT_TRUE(plan.circuits.empty());
+    EXPECT_EQ(plan.reconfig_latency, Duration::zero());
+    EXPECT_EQ(fab.ledger_key(), key);
+    EXPECT_EQ(fab.epoch(), epoch);
+    EXPECT_EQ(fab.active_circuits(), 0u);
+  }
+}
+
+TEST(Repair, ChooseSpareNeverPicksACandidateOffTheFabric) {
+  Fabric fab;
+  EXPECT_FALSE(choose_spare(fab, {GlobalTile{5, 0}}, {GlobalTile{5, 1}}).ok());
+  EXPECT_FALSE(
+      choose_spare(fab, {GlobalTile{5, 0}, GlobalTile{0, 40}}, {GlobalTile{0, 1}}).ok());
+  // Tile 33 would sit 4 hops from tile 1 and tile 20 sits 5 away, so only
+  // the check keeps the off-wafer tile from winning.
+  const auto choice = choose_spare(
+      fab, {GlobalTile{5, 0}, GlobalTile{0, 33}, GlobalTile{0, 20}, GlobalTile{1, 0}},
+      {GlobalTile{0, 1}});
+  ASSERT_TRUE(choice.ok());
+  EXPECT_EQ(choice.value(), 2u);
 }
 
 // --- escalate_repair: the graceful-degradation ladder ----------------------
