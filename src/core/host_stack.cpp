@@ -1,6 +1,7 @@
 #include "core/host_stack.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace lp::core {
 
@@ -11,6 +12,8 @@ HostStack::HostStack(fabric::Fabric& fab, HostStackParams params)
       params_{params},
       tiles_per_wafer_{static_cast<std::uint32_t>(fab.config().wafer.rows *
                                                   fab.config().wafer.cols)},
+      rate_{fab.per_wavelength_rate() *
+            static_cast<double>(params.wavelengths_per_circuit)},
       peers_(std::size_t{fab.wafer_count()} * tiles_per_wafer_) {}
 
 bool HostStack::has_circuit(GlobalTile src, GlobalTile dst) const {
@@ -35,11 +38,18 @@ Result<Duration> HostStack::send(GlobalTile src, GlobalTile dst, DataSize bytes)
   const auto hit =
       std::find_if(peers.begin(), peers.end(), [&](const Peer& p) { return p.dst == dst; });
   if (hit != peers.end()) {
+    assert(fabric_.circuit(hit->id) != nullptr);  // see send()'s precondition
     ++stats_.hits;
     std::rotate(peers.begin(), hit, hit + 1);
   } else {
     ++stats_.misses;
-    // Evict until a port (and the Tx lambdas) are available.
+    // While the source is short of Tx lambdas any connect is refused, so
+    // evict without attempting one (a refusal builds its error message).
+    const fabric::Tile& tile = fabric_.wafer(src.wafer).tile(src.tile);
+    while (tile.tx_free() < params_.wavelengths_per_circuit && !peers.empty()) {
+      evict_lru(peers);
+    }
+    // Then evict until the connect succeeds.
     auto attempt = fabric_.connect(src, dst, params_.wavelengths_per_circuit);
     while (!attempt && !peers.empty()) {
       evict_lru(peers);
@@ -56,10 +66,7 @@ Result<Duration> HostStack::send(GlobalTile src, GlobalTile dst, DataSize bytes)
     latency += setup;
   }
 
-  // The rate is read on every send, so a circuit torn down behind the
-  // stack's back transfers at zero rate.
-  const Bandwidth rate = fabric_.circuit_bandwidth(peers.front().id);
-  const Duration transfer = transfer_time(bytes, rate);
+  const Duration transfer = transfer_time(bytes, rate_);
   stats_.transfer_time += transfer;
   latency += transfer;
   return latency;

@@ -18,6 +18,13 @@
 //   hit:   transfer at the circuit's rate
 //   miss:  r (+ eviction teardown) + transfer
 //
+// The stack owns the circuits it caches: only its own evictions and flush()
+// tear them down.  Every circuit it opens carries wavelengths_per_circuit
+// lambdas, so all of them share one rate, taken at construction; a hit reads
+// no fabric state.  A miss whose source is short of Tx lambdas evicts before
+// it asks the fabric for a circuit, so it never attempts a connect that the
+// Tx count would refuse.
+//
 // The ablation bench compares this against per-message reconfiguration and
 // against a static ring (direct-connect emulation with multi-hop
 // forwarding), across working-set sizes and message sizes.
@@ -63,6 +70,10 @@ class HostStack {
   /// error if no circuit can be established even after eviction.  A tile
   /// off the fabric or max_peers == 0 is an error that counts no message and
   /// touches no circuit.
+  ///
+  /// Precondition: every circuit the stack caches is still established;
+  /// nothing but this stack disconnects them.  Asserted on a hit in Debug
+  /// builds.
   Result<Duration> send(fabric::GlobalTile src, fabric::GlobalTile dst, DataSize bytes);
 
   /// Whether a live circuit src->dst exists (no side effects).
@@ -90,6 +101,8 @@ class HostStack {
   fabric::Fabric& fabric_;
   HostStackParams params_;
   std::uint32_t tiles_per_wafer_;
+  /// Rate of every circuit the stack opens (Circuit::bandwidth's product).
+  Bandwidth rate_;
   /// Per source tile, by index_of(): its cached circuits, most recent first.
   std::vector<std::vector<Peer>> peers_;
   HostStackStats stats_;

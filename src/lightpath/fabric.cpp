@@ -8,6 +8,7 @@ namespace lp::fabric {
 
 Fabric::Fabric(FabricConfig config)
     : config_{config},
+      per_wavelength_rate_{phys::Modulator{config.modulator}.line_rate()},
       wafers_(config.wafer_count, Wafer{config.wafer}),
       reconfig_{config.reconfig} {}
 
@@ -44,10 +45,6 @@ std::uint64_t Fabric::ledger_key() const {
     h = splitmix64(h ^ (std::uint64_t{link.used} << 1 | (link.down ? 1u : 0u)));
   }
   return h;
-}
-
-Bandwidth Fabric::per_wavelength_rate() const {
-  return phys::Modulator{config_.modulator}.line_rate();
 }
 
 void Fabric::write_xy_route(const Wafer& wafer, TileId from, TileId to, bool rows_first,

@@ -78,8 +78,9 @@ class Fabric {
   /// the fault/health layer diagnoses and repairs them.
   void set_fiber_link_down(std::size_t index, bool down);
 
-  /// Data rate of a single modulated wavelength (224 Gbps by default).
-  [[nodiscard]] Bandwidth per_wavelength_rate() const;
+  /// Data rate of a single modulated wavelength (224 Gbps by default),
+  /// taken from the modulator once at construction.
+  [[nodiscard]] Bandwidth per_wavelength_rate() const { return per_wavelength_rate_; }
 
   /// Establish a circuit carrying `wavelengths` lambdas from chip at `a` to
   /// chip at `b`.  Reserves Tx at a, Rx at b, lanes along the path, and
@@ -194,6 +195,7 @@ class Fabric {
                              std::optional<Crossing> crossing);
 
   FabricConfig config_;
+  Bandwidth per_wavelength_rate_;
   std::vector<Wafer> wafers_;
   std::vector<FiberLink> fiber_links_;
   util::SlotTable<CircuitSlot> circuits_;

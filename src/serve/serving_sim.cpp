@@ -19,7 +19,7 @@ namespace {
 using fabric::CircuitId;
 using fabric::GlobalTile;
 
-/// One request resident in a replica's queue or batch.
+/// One request waiting in a replica's queue.
 struct Request {
   double arrival{0.0};  ///< seconds
   std::uint32_t prefill_tokens{1};
@@ -32,16 +32,34 @@ struct Request {
   double extra{0.0};
 };
 
+/// A batched sequence, filed under the round it finishes in: all that its
+/// completion reads.
+struct Finishing {
+  double arrival{0.0};
+  double extra{0.0};
+};
+
 struct Replica {
   std::vector<GlobalTile> tiles;
   /// Flat tile ids of `tiles`, the member list the autotuner fingerprints.
   std::vector<topo::TpuId> ids;
+  /// Autotuner::topology_fingerprint of `ids` at the host-circuit model.
+  std::uint64_t fingerprint{0};
   /// Intra-replica backbone ring (weights/activations plane).  These are
   /// the circuits the health monitor diagnoses and the repair ladder
   /// rebuilds; HostStack traffic rides its own cached circuits.
   std::vector<CircuitId> backbone;
   std::deque<Request> queue;
-  std::vector<Request> batch;
+  /// Sequences in the batch, counting any that never finish (prefill left
+  /// with prefill_chunk == 0: they hold their slot for good).
+  std::size_t active{0};
+  /// Rounds run so far; round k retires finishing[k & (size - 1)].
+  std::uint64_t rounds_run{0};
+  /// Ring of per-round buckets, empty until the first admission.  Its
+  /// power-of-two size is at least the largest rounds-to-finish filed so
+  /// far, so each live bucket holds one round's sequences, in admission
+  /// order: the order they complete in.
+  std::vector<std::vector<Finishing>> finishing;
   double paused_until{0.0};
   std::uint32_t rotation{0};
   bool round_scheduled{false};
@@ -80,7 +98,8 @@ class ServingSim {
 
   void kick(std::size_t r, double at);
   void admit(std::size_t r);
-  void complete(const Request& q, double done_t);
+  void enter_batch(Replica& rep, const Request& q);
+  void complete(const Finishing& f, double done_t);
   void take_offline(std::size_t r);
   [[nodiscard]] std::size_t resolve_online(std::size_t preferred) const;
 
@@ -118,6 +137,8 @@ void ServingSim::setup_replicas() {
           0, wafer.tile_at({static_cast<std::int32_t>(r), t})});
       rep.ids.push_back(static_cast<topo::TpuId>(rep.tiles.back().tile));
     }
+    rep.fingerprint =
+        coll::Autotuner::topology_fingerprint(rep.ids, tuner_rate_, tuner_reconfig_);
     // Ring circuits t -> t+1 (the wrap link routes back across the row).
     for (std::size_t t = 0; t < rep.tiles.size(); ++t) {
       const auto next = (t + 1) % rep.tiles.size();
@@ -191,7 +212,7 @@ void ServingSim::arrival() {
 
 void ServingSim::admit(std::size_t r) {
   Replica& rep = replicas_[r];
-  while (rep.batch.size() < params_.batch_capacity && !rep.queue.empty()) {
+  while (rep.active < params_.batch_capacity && !rep.queue.empty()) {
     Request q = rep.queue.front();
     rep.queue.pop_front();
     if (q.migrate) {
@@ -241,12 +262,44 @@ void ServingSim::admit(std::size_t r) {
         }
       }
     }
-    rep.batch.push_back(q);
+    enter_batch(rep, q);
   }
 }
 
-void ServingSim::complete(const Request& q, double done_t) {
-  const double latency = done_t - q.arrival + q.extra;
+/// Grows `ring` to `size` buckets (a larger power of two), re-filing each
+/// bucket under its own round: the live rounds are the old size's worth
+/// from `round` on.
+void grow_ring(std::vector<std::vector<Finishing>>& ring, std::uint64_t round,
+               std::size_t size) {
+  std::vector<std::vector<Finishing>> grown(size);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const std::uint64_t due = round + ((i - round) & (ring.size() - 1));
+    grown[due & (size - 1)] = std::move(ring[i]);
+  }
+  ring = std::move(grown);
+}
+
+void ServingSim::enter_batch(Replica& rep, const Request& q) {
+  ++rep.active;
+  // A sequence advances once per round from this one on: a prefill round
+  // per chunk, then a decode round per token, and it finishes in its first
+  // round when nothing is left.
+  std::uint64_t prefill_rounds = 0;
+  if (q.prefill_left > 0) {
+    if (params_.prefill_chunk == 0) return;  // never finishes
+    prefill_rounds = (std::uint64_t{q.prefill_left} + params_.prefill_chunk - 1) /
+                     params_.prefill_chunk;
+  }
+  const std::uint64_t rounds = std::max<std::uint64_t>(1, prefill_rounds + q.decode_left);
+  if (rounds > rep.finishing.size()) {
+    grow_ring(rep.finishing, rep.rounds_run, std::bit_ceil(rounds));
+  }
+  rep.finishing[(rep.rounds_run + rounds - 1) & (rep.finishing.size() - 1)].push_back(
+      Finishing{q.arrival, q.extra});
+}
+
+void ServingSim::complete(const Finishing& f, double done_t) {
+  const double latency = done_t - f.arrival + f.extra;
   ++report_.completed;
   if (latency <= params_.slo.to_seconds()) ++report_.met_slo;
   latencies_.push_back(latency);
@@ -264,10 +317,10 @@ void ServingSim::round(std::size_t r) {
     return;
   }
   admit(r);
-  if (rep.batch.empty()) return;  // idle; the next arrival re-kicks
+  if (rep.active == 0) return;  // idle; the next arrival re-kicks
 
   ++report_.rounds;
-  const double active = static_cast<double>(rep.batch.size());
+  const double active = static_cast<double>(rep.active);
 
   // MoE expert all-to-all: every tile exchanges its shard each round; the
   // round waits for the slowest exchange.  The autotuner picks the pattern
@@ -277,55 +330,53 @@ void ServingSim::round(std::size_t r) {
   // `offset` hops, so bytes inflate by the hop count).  Steady state hits
   // the circuit cache either way; after fault-driven flushes each send
   // re-plans and pays r, which is how churn reaches the latency tail.
+  // Partners cycle over offsets 1..partners, so no tile sends to itself and
+  // a one-tile replica exchanges nothing.
   double comm = 0.0;
-  const DataSize per_tile =
-      params_.traffic.expert_bytes_per_token *
-      (active / static_cast<double>(rep.tiles.size()));
-  const std::uint32_t peers = std::max(params_.expert_peers, 1u);
-  const coll::Decision pick = tuner_.pick(
-      coll::CollOp::kAllToAll, per_tile * static_cast<double>(peers),
-      rep.ids, tuner_rate_, tuner_reconfig_, fab_.epoch());
-  const std::uint32_t offset = 1 + rep.rotation % peers;
-  const bool ring = pick.algo == coll::Algorithm::kRing;
-  if (ring) ++report_.expert_ring_rounds;
-  const std::size_t hop = ring ? 1 : offset;
-  const DataSize per_send =
-      ring ? per_tile * static_cast<double>(offset) : per_tile;
-  for (std::size_t t = 0; t < rep.tiles.size(); ++t) {
-    const std::size_t peer = (t + hop) % rep.tiles.size();
-    ++report_.expert_sends;
-    const auto sent = host_.send(rep.tiles[t], rep.tiles[peer], per_send);
-    if (sent.ok()) {
-      comm = std::max(comm, sent.value().to_seconds());
-    } else {
-      ++report_.send_failures;
-      comm = std::max(comm, fab_.reconfig().settle_latency().to_seconds());
+  const std::size_t tiles = rep.tiles.size();
+  const auto partners = static_cast<std::uint32_t>(
+      std::min<std::size_t>(std::max(params_.expert_peers, 1u), tiles > 0 ? tiles - 1 : 0));
+  if (partners > 0) {
+    const DataSize per_tile =
+        params_.traffic.expert_bytes_per_token * (active / static_cast<double>(tiles));
+    const coll::Decision pick = tuner_.pick_keyed(
+        coll::CollOp::kAllToAll, per_tile * static_cast<double>(partners), rep.ids.size(),
+        rep.fingerprint, tuner_rate_, tuner_reconfig_, fab_.epoch());
+    const std::uint32_t offset = 1 + rep.rotation % partners;
+    const bool ring = pick.algo == coll::Algorithm::kRing;
+    if (ring) ++report_.expert_ring_rounds;
+    const std::size_t hop = ring ? 1 : offset;
+    const DataSize per_send =
+        ring ? per_tile * static_cast<double>(offset) : per_tile;
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const std::size_t peer = (t + hop) % tiles;
+      ++report_.expert_sends;
+      const auto sent = host_.send(rep.tiles[t], rep.tiles[peer], per_send);
+      if (sent.ok()) {
+        comm = std::max(comm, sent.value().to_seconds());
+      } else {
+        ++report_.send_failures;
+        comm = std::max(comm, fab_.reconfig().settle_latency().to_seconds());
+      }
     }
+    ++rep.rotation;
   }
-  ++rep.rotation;
 
   const double round_dur = params_.round_base.to_seconds() +
                            params_.round_per_seq.to_seconds() * active + comm;
   const double done_t = now + round_dur;
 
-  // Advance every sequence one round; retire finished ones in batch order.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < rep.batch.size(); ++i) {
-    Request& q = rep.batch[i];
-    if (q.prefill_left > 0) {
-      q.prefill_left -= std::min(params_.prefill_chunk, q.prefill_left);
-    } else if (q.decode_left > 0) {
-      --q.decode_left;
-    }
-    if (q.prefill_left == 0 && q.decode_left == 0) {
-      complete(q, done_t);
-    } else {
-      rep.batch[keep++] = q;
-    }
+  // Retire the sequences that finish in this round, in admission order.
+  if (!rep.finishing.empty()) {
+    std::vector<Finishing>& due =
+        rep.finishing[rep.rounds_run & (rep.finishing.size() - 1)];
+    for (const Finishing& f : due) complete(f, done_t);
+    rep.active -= due.size();
+    due.clear();
   }
-  rep.batch.resize(keep);
+  ++rep.rounds_run;
 
-  if (!rep.batch.empty() || !rep.queue.empty()) kick(r, done_t);
+  if (rep.active > 0 || !rep.queue.empty()) kick(r, done_t);
 }
 
 void ServingSim::fault_event() {
@@ -374,7 +425,7 @@ void ServingSim::gray_event() {
       if (pause > 0.0) {
         rep.paused_until = std::max(rep.paused_until, now + pause);
         report_.flap_stall += Duration::seconds(pause);
-        if (!rep.batch.empty() || !rep.queue.empty()) kick(r, rep.paused_until);
+        if (rep.active > 0 || !rep.queue.empty()) kick(r, rep.paused_until);
       }
     }
   }
@@ -384,8 +435,9 @@ void ServingSim::take_offline(std::size_t r) {
   Replica& rep = replicas_[r];
   rep.online = false;
   ++report_.replicas_offline;
-  report_.abandoned += rep.batch.size() + rep.queue.size();
-  rep.batch.clear();
+  report_.abandoned += rep.active + rep.queue.size();
+  rep.active = 0;
+  rep.finishing.clear();
   rep.queue.clear();
   for (const CircuitId id : rep.backbone) {
     if (fab_.circuit(id) != nullptr) fab_.disconnect(id);
@@ -445,7 +497,7 @@ ServingReport ServingSim::run() {
                                           params_.drain.to_seconds()));
 
   for (const Replica& rep : replicas_) {
-    report_.in_flight_at_end += rep.batch.size() + rep.queue.size();
+    report_.in_flight_at_end += rep.active + rep.queue.size();
   }
   const std::vector<double> tail = lp::percentiles(latencies_, {50.0, 99.0, 99.9});
   report_.p50 = Duration::seconds(tail[0]);

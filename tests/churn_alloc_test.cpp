@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/host_stack.hpp"
 #include "lightpath/fabric.hpp"
 
 namespace {
@@ -100,6 +101,38 @@ TEST(ChurnAllocations, ConnectViaAndDisconnectAllocateNothing) {
   EXPECT_EQ(allocations_over(kCycles, cycle), 0u);
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(fab.active_circuits(), 3u);
+}
+
+// One source cycling through twice as many peers as its cache holds: every
+// send misses, and the source's Tx lambdas are all held by cached circuits,
+// so each send evicts.  The stack evicts before it connects instead of
+// letting a refused connect build its error message.
+TEST(ChurnAllocations, HostStackEvictionAllocatesNothing) {
+  FabricConfig config;
+  config.wafer.rows = 16;
+  config.wafer.cols = 16;
+  Fabric fab{config};
+  const core::HostStackParams params{};  // 8 peers x 2 lambdas: all 16 Tx
+  core::HostStack stack{fab, params};
+  const Wafer& w = fab.wafer(0);
+  const GlobalTile src{0, w.tile_at(TileCoord{8, 8})};
+  std::vector<GlobalTile> peers;  // twice as many as the cache holds
+  for (std::int32_t i = 0; i < 16; ++i) {
+    peers.push_back(GlobalTile{0, w.tile_at(TileCoord{i, (3 * i + 1) % 16})});
+  }
+  std::size_t next = 0;
+  int failures = 0;
+  const auto send = [&] {
+    if (!stack.send(src, peers[next], DataSize::kib(64))) ++failures;
+    next = (next + 1) % peers.size();
+  };
+  // Warm-up: every recycled hop vector has held the longest route.
+  for (int i = 0; i < kCycles; ++i) send();
+  const core::HostStackStats before = stack.stats();
+  EXPECT_EQ(allocations_over(kCycles, send), 0u);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(stack.stats().misses - before.misses, std::uint64_t{kCycles});
+  EXPECT_EQ(stack.stats().evictions - before.evictions, std::uint64_t{kCycles});
 }
 
 }  // namespace

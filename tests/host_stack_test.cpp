@@ -139,6 +139,18 @@ TEST_F(HostStackFixture, TilesOffTheFabricAreErrorsWithoutSideEffects) {
   EXPECT_EQ(stack_.stats().evictions, before.evictions);
 }
 
+// The stack owns the circuits it caches: a hit on one torn down behind its
+// back breaks send()'s precondition, which Debug builds assert.
+TEST(HostStackDeathTest, HitOnACircuitTornDownBehindItsBack) {
+  fabric::Fabric fab;
+  core::HostStack stack{fab};
+  const GlobalTile a{0, 0}, b{0, 5};
+  ASSERT_TRUE(stack.send(a, b, DataSize::kib(4)).ok());
+  ASSERT_EQ(fab.active_circuits(), 1u);
+  fab.disconnect(fab.circuit_ids().front());
+  EXPECT_DEBUG_DEATH((void)stack.send(a, b, DataSize::kib(4)), "hit->id");
+}
+
 /// The map + std::list host stack the per-tile table replaced, kept as the
 /// reference model: one hash map from (src, dst) to the circuit, and per
 /// source a list of keys in LRU order.
@@ -263,6 +275,11 @@ TEST(HostStack, MatchesReferenceModel) {
     fabric::FabricConfig config;
     config.wafer_count = 2;
     config.wafer.lanes_per_edge = kLanes[rng.uniform_index(3)];
+    // The stack takes one rate for all its circuits; the reference reads
+    // each circuit's bandwidth from the fabric on every send.
+    config.modulator.line_code =
+        seed % 2 == 0 ? phys::LineCode::kPam4 : phys::LineCode::kNrz;
+    config.modulator.baud_rate = (seed / 2) % 2 == 0 ? 112e9 : 56e9;
     const core::HostStackParams params{.max_peers = kMaxPeers[rng.uniform_index(4)],
                                        .wavelengths_per_circuit = kLambdas[rng.uniform_index(3)]};
     const std::uint32_t fibers = kFibers[rng.uniform_index(3)];
