@@ -4,6 +4,7 @@
 // morphs, and sweep determinism across thread counts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -393,6 +394,99 @@ TEST(ClusterScheduler, AdmissionOrderMatchesPinnedDigests) {
     EXPECT_EQ(r.migration_failures, run.attempts.migration_failures) << run.name;
     EXPECT_GT(r.queue_delay_p99_s, 0.0) << run.name << ": no queue ever formed";
     EXPECT_TRUE(run.covers(r)) << run.name << ": off its admission path";
+  }
+}
+
+// Admission passes that stage two or more morphs at once, with stitch
+// demands, and with rings that fail to place and roll back.  A pass plans
+// its staged rings in stage order, one job at a time; a ring that does not
+// fully place releases what it placed and its job stays queued.  The values
+// below were recorded while such passes still planned through a separate
+// concurrent batch planner.  Passes staging two or more morphs / jobs in
+// them / jobs rolled back / stitch demands in them, as counted then:
+//   wafers1-w16              4 /     9 /     1 /     4
+//   wafers2-w8               3 /     6 /     1 /     6
+//   wafers4-w16-mtbf0.5     16 /    38 /     4 /    28
+//   wafers2-w16-flaps       11 /    24 /     6 /    31
+//   wafers1-w8-mtbf0.5     295 / 2,763 / 2,627 / 8,844
+struct MorphCounts {
+  std::uint64_t offered;
+  std::uint64_t admitted;
+  std::uint64_t completed;
+  std::uint64_t placed_morphed;
+  std::uint64_t morphs;
+  std::uint64_t morph_aborts;
+  std::uint64_t requeues;
+};
+
+/// Bit patterns of the report's queue-delay quantiles and time averages.
+struct MorphBits {
+  std::uint64_t queue_p50;
+  std::uint64_t queue_p99;
+  std::uint64_t stranding;
+  std::uint64_t utilization;
+};
+
+struct PinnedMorphRun {
+  const char* name;
+  ClusterParams params;
+  std::uint64_t digest;
+  MorphCounts counts;
+  MorphBits bits;
+};
+
+std::vector<PinnedMorphRun> pinned_morph_runs() {
+  // Photonic policy, default mix and 64 racks throughout.
+  const auto config = [](std::uint32_t wafers, std::uint32_t wavelengths,
+                         double jobs_per_s, double mtbf_hours, std::uint64_t seed) {
+    ClusterParams p;
+    p.horizon = Duration::seconds(120.0);
+    p.drain = Duration::seconds(120.0);
+    p.fabric_wafers = wafers;
+    p.morph_wavelengths = wavelengths;
+    p.arrival_rate_per_s = jobs_per_s;
+    p.mtbf_hours = mtbf_hours;
+    p.seed = seed;
+    return p;
+  };
+  ClusterParams flaps = config(2, 16, 64.0, 0.5, 7);
+  flaps.flap_rate_per_hour = 240.0;
+  return {
+      {"wafers1-w16", config(1, 16, 16.0, 2.0, 1), 0x296e607ad2eb29ea,
+       {1909, 1175, 833, 46, 2, 2, 0},
+       {0x404a49d9130c5c90, 0x40648e79242a0e2e, 0x3f5dbf49d71eab36, 0x3fee747f64fd30fa}},
+      {"wafers2-w8", config(2, 8, 16.0, 2.0, 1), 0x65639543417254fa,
+       {1909, 1164, 825, 40, 5, 0, 3},
+       {0x404a78cf0d927212, 0x4064946a797419fd, 0x3f82f7b71e6c408c, 0x3fee3d2fe0fde323}},
+      {"wafers4-w16-mtbf0.5", config(4, 16, 16.0, 0.5, 1), 0xc5763dcc7d14b66c,
+       {1909, 1103, 773, 124, 22, 0, 13},
+       {0x40485689167c74fc, 0x406517eb37723e96, 0x3f98623594193d5b, 0x3fecc8d946f1475f}},
+      {"wafers2-w16-flaps", flaps, 0xa5fa82fe60f7dd63,
+       {7696, 1282, 905, 67, 6, 6, 10},
+       {0x40513e374fae827e, 0x406b20bda162c79e, 0x3fa0a8ca89a61676, 0x3fee4249a65a3774}},
+      {"wafers1-w8-mtbf0.5", config(1, 8, 16.0, 0.5, 1), 0x6f2dbc4b14de030f,
+       {1909, 954, 706, 175, 15, 5, 8},
+       {0x403c9ad590c3bc58, 0x4066223b7ae94844, 0x3fc6732a9d73ccbe, 0x3fec58311a3ceb37}},
+  };
+}
+
+TEST(ClusterScheduler, MorphBatchesMatchPinnedDigests) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const PinnedMorphRun& run : pinned_morph_runs()) {
+    const ClusterReport r = run_cluster(run.params);
+    EXPECT_EQ(r.digest, run.digest)
+        << run.name << ": digest " << std::hex << r.digest << std::dec;
+    EXPECT_EQ(r.offered, run.counts.offered) << run.name;
+    EXPECT_EQ(r.admitted, run.counts.admitted) << run.name;
+    EXPECT_EQ(r.completed, run.counts.completed) << run.name;
+    EXPECT_EQ(r.placed_morphed, run.counts.placed_morphed) << run.name;
+    EXPECT_EQ(r.morphs, run.counts.morphs) << run.name;
+    EXPECT_EQ(r.morph_aborts, run.counts.morph_aborts) << run.name;
+    EXPECT_EQ(r.requeues, run.counts.requeues) << run.name;
+    EXPECT_EQ(bits(r.queue_delay_p50_s), run.bits.queue_p50) << run.name;
+    EXPECT_EQ(bits(r.queue_delay_p99_s), run.bits.queue_p99) << run.name;
+    EXPECT_EQ(bits(r.frag_stranding_avg), run.bits.stranding) << run.name;
+    EXPECT_EQ(bits(r.utilization_avg), run.bits.utilization) << run.name;
   }
 }
 

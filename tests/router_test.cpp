@@ -600,5 +600,62 @@ TEST(Router, ZeroPenaltyStaircaseTiesMatchReference) {
   }
 }
 
+TEST(Router, RouteSurvivesOccupancyOffItsPath) {
+  // Taking lanes only off edges a route does not use leaves find_route's
+  // answer unchanged: a path's cost counts hops and turns, not occupancy,
+  // so the route is still of minimum cost, and removing other candidates
+  // cannot move the tie-break off it.  A route found on an earlier ledger
+  // that still fits is therefore the route a live search returns.
+  const double penalties[] = {0.0, 0.25, 0.5, 1.0, 2.0, 1.0 / 3.0};
+
+  Rng rng{20261019};
+  std::size_t routed = 0;
+  std::size_t detours = 0;
+  for (int c = 0; c < 16000; ++c) {
+    WaferParams params;
+    params.rows = static_cast<std::int32_t>(2 + rng.uniform_index(10));
+    params.cols = static_cast<std::int32_t>(2 + rng.uniform_index(10));
+    params.lanes_per_edge = static_cast<std::uint32_t>(1 + rng.uniform_index(2));
+    Wafer wafer{params};
+    const auto tiles = wafer.tile_count();
+    const auto fill = [&](const std::vector<bool>& keep) {
+      const auto touched_edges = rng.uniform_index(tiles * 2 + 1);
+      for (std::uint64_t e = 0; e < touched_edges; ++e) {
+        const auto t = static_cast<TileId>(rng.uniform_index(tiles));
+        const auto d = static_cast<Direction>(rng.uniform_index(4));
+        const std::uint32_t free = wafer.lanes_free(t, d);
+        if (free == 0 || (!keep.empty() && keep[t * 4 + static_cast<std::size_t>(d)])) {
+          continue;
+        }
+        const auto take = static_cast<std::uint32_t>(1 + rng.uniform_index(free));
+        ASSERT_TRUE(wafer.reserve_lanes(t, d, take));
+      }
+    };
+    fill({});
+
+    RouteOptions opts;
+    opts.turn_penalty = penalties[c % 6];
+    opts.lanes = static_cast<std::uint32_t>(1 + rng.uniform_index(params.lanes_per_edge));
+    const auto from = static_cast<TileId>(rng.uniform_index(tiles));
+    const auto to = static_cast<TileId>(rng.uniform_index(tiles));
+    const Route before = find_route(wafer, from, to, opts);
+    if (!before) continue;
+    ++routed;
+    if (before->size() > manhattan(wafer, from, to)) ++detours;
+
+    std::vector<bool> on_path(static_cast<std::size_t>(tiles) * 4, false);
+    TileId at = from;
+    for (const Direction d : *before) {
+      on_path[at * 4 + static_cast<std::size_t>(d)] = true;
+      at = *wafer.neighbor(at, d);
+    }
+    fill(on_path);
+    ASSERT_EQ(find_route(wafer, from, to, opts), before)
+        << "case " << c << " " << from << "->" << to << " penalty " << opts.turn_penalty;
+  }
+  EXPECT_GT(routed, 12000u);
+  EXPECT_GT(detours, 2000u) << "the sweep must route around occupied edges";
+}
+
 }  // namespace
 }  // namespace lp::routing
