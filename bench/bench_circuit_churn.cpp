@@ -1,5 +1,4 @@
-// Circuit setup/teardown churn: fresh planning vs the plan cache, plus the
-// sharded concurrent planner (re-landed from the abandoned PR-3/4 attempt).
+// Circuit setup/teardown churn: fresh planning vs the plan cache.
 //
 // The scenario is steady-state multi-tenant churn on one 16x16 wafer: a
 // handful of jobs repeatedly bring up and tear down their demand sets while
@@ -11,14 +10,13 @@
 // >= 10^6 target.
 //
 // --json writes BENCH_circuit_churn.json (cold/cached rates, speedup,
-// per-epoch trajectory, concurrent-planner scaling) for CI artifact upload.
+// per-epoch trajectory) for CI artifact upload.
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "lightpath/fabric.hpp"
-#include "routing/concurrent_planner.hpp"
 #include "routing/plan_cache.hpp"
 #include "routing/planner.hpp"
 #include "util/rng.hpp"
@@ -134,35 +132,6 @@ ChurnResult run_churn() {
   return result;
 }
 
-struct ScalingPoint {
-  unsigned threads{0};
-  double seconds{0.0};
-  std::uint64_t placed{0};
-  std::uint64_t fast_path{0};
-  std::uint64_t replans{0};
-};
-
-std::vector<ScalingPoint> run_concurrent_scaling() {
-  const auto sets = churn_sets(0xfeed);
-  const std::vector<std::vector<Demand>> jobs(sets.begin(), sets.end());
-  std::vector<ScalingPoint> points;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    Fabric fab{churn_config()};
-    const double t0 = now_seconds();
-    const auto r = lp::routing::plan_jobs(fab, jobs, {}, threads);
-    const double dt = now_seconds() - t0;
-    ScalingPoint p;
-    p.threads = threads;
-    p.seconds = dt;
-    for (const auto& report : r.reports) p.placed += report.placed.size();
-    p.fast_path = r.stats.fast_path_commits;
-    p.replans = r.stats.replans;
-    points.push_back(p);
-    for (lp::fabric::CircuitId id : fab.circuit_ids()) fab.disconnect(id);
-  }
-  return points;
-}
-
 constexpr double kTargetSetupsPerSec = 1e6;
 
 void print_report(bool emit_json) {
@@ -190,17 +159,6 @@ void print_report(bool emit_json) {
   std::printf("target >= %.0e cached setups/s: %s\n", kTargetSetupsPerSec,
               churn.cached_setups_per_s >= kTargetSetupsPerSec ? "PASS" : "FAIL");
 
-  lp::bench::header("Sharded concurrent planner: 4 jobs, cold planning");
-  const auto scaling = run_concurrent_scaling();
-  for (const ScalingPoint& p : scaling) {
-    std::printf("%u thread(s): %s  (%llu placed, %llu fast-path, %llu replans)\n",
-                p.threads, lp::bench::fmt_time(p.seconds).c_str(),
-                static_cast<unsigned long long>(p.placed),
-                static_cast<unsigned long long>(p.fast_path),
-                static_cast<unsigned long long>(p.replans));
-  }
-  lp::bench::line();
-
   if (emit_json) {
     lp::bench::JsonWriter json;
     json.begin_object();
@@ -219,17 +177,6 @@ void print_report(bool emit_json) {
     json.key("replay_aborts").value(churn.replay_aborts);
     json.key("trajectory_setups_per_s").begin_array();
     for (double rate : churn.trajectory) json.value(rate);
-    json.end_array();
-    json.key("concurrent_scaling").begin_array();
-    for (const ScalingPoint& p : scaling) {
-      json.begin_object();
-      json.key("threads").value(static_cast<std::uint64_t>(p.threads));
-      json.key("seconds").value(p.seconds);
-      json.key("placed").value(p.placed);
-      json.key("fast_path_commits").value(p.fast_path);
-      json.key("replans").value(p.replans);
-      json.end_object();
-    }
     json.end_array();
     json.end_object();
     if (json.write_file("BENCH_circuit_churn.json")) {

@@ -293,33 +293,17 @@ void ClusterScheduler::try_admit() {
         return true;
       });
 
-  // Plan the batch's stitch rings.  A lone morph goes through the
-  // PlanCache (repeated demand sets against an unchanged ledger replay
-  // without route search); two or more plan concurrently under the sharded
-  // ledger with per-job atomicity — a job whose ring cannot fully place
-  // rolls back and stays queued.
-  std::vector<routing::PlanReport> reports(batch.size());
-  if (batch.size() == 1) {
-    reports[0] = cache_.place_all(batch[0].demands);
-    if (!reports[0].complete()) {
-      cache_.release_all(reports[0]);
-      reports[0].placed.clear();
-    }
-  } else if (batch.size() >= 2) {
-    std::vector<std::vector<routing::Demand>> sets;
-    sets.reserve(batch.size());
-    for (const MorphCandidate& c : batch) sets.push_back(c.demands);
-    routing::PlanJobsOptions opts;
-    opts.atomic_jobs = true;
-    auto result = routing::plan_jobs(fab_, sets, opts);
-    reports = std::move(result.reports);
-  }
+  // Plan the staged stitch rings in stage order, one job at a time,
+  // through the PlanCache (repeated demand sets against an unchanged ledger
+  // replay without route search).  A job whose ring cannot fully place
+  // releases what it placed and stays queued.
   std::vector<bool> started(batch.size(), false);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    MorphCandidate& c = batch[i];
+    const MorphCandidate& c = batch[i];
     Job& job = jobs_.at(c.id);
-    const bool ok = c.demands.empty() || !reports[i].placed.empty();
-    if (!ok) {
+    const routing::PlanReport plan = cache_.place_all(c.demands);
+    if (!plan.complete()) {
+      cache_.release_all(plan);
       unharvest(c.fragments);
       ocs_.release(c.ports);
       continue;
@@ -327,7 +311,7 @@ void ClusterScheduler::try_admit() {
     take_chips(job, c.fragments);
     job.morphed = true;
     job.ocs_ports = c.ports;
-    for (const routing::PlacedCircuit& p : reports[i].placed) {
+    for (const routing::PlacedCircuit& p : plan.placed) {
       job.stitch_circuits.push_back(p.id);
     }
     ++report_.placed_morphed;

@@ -53,7 +53,6 @@
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
-#include "routing/concurrent_planner.hpp"
 #include "routing/plan_cache.hpp"
 #include "routing/repair.hpp"
 #include "runtime/recovery.hpp"

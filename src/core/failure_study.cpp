@@ -79,8 +79,7 @@ std::vector<FailureImpact> assess_failures_batch(FailurePolicy policy,
 
   std::vector<FailureImpact> unique_impacts(unique.size());
   std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
+  util::ThreadPool& pool = util::resolve_pool(threads, local);
   std::vector<std::unique_ptr<TrialWorkspace>> workspaces(pool.size());
   pool.run(unique.size(), [&](std::size_t i, unsigned worker) {
     auto& ws = workspaces[worker];
@@ -326,8 +325,7 @@ ComponentAvailabilityReport run_component_fault_study(
 
   std::vector<ComponentWorkspace::TrialResult> results(trials);
   std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool = params.threads == 0 ? util::ThreadPool::shared()
-                                               : local.emplace(params.threads);
+  util::ThreadPool& pool = util::resolve_pool(params.threads, local);
   std::vector<std::unique_ptr<ComponentWorkspace>> workspaces(pool.size());
   pool.run(trials, [&](std::size_t i, unsigned worker) {
     auto& ws = workspaces[worker];

@@ -37,8 +37,9 @@ struct FailureStudyParams {
   std::int32_t fleet_chips{4096};
   std::uint64_t seed{0xfa11};
   FailureImpactParams impact{};
-  /// Worker threads for trial evaluation; 0 means one per hardware thread.
-  /// The report is bit-identical for every value.
+  /// Worker threads for trial evaluation.  0 consults LIGHTPATH_THREADS
+  /// (util::env_threads), then the shared pool.  The report is
+  /// bit-identical for every value.
   unsigned threads{0};
 };
 
@@ -114,8 +115,8 @@ struct ComponentStudyParams {
   /// only the endpoints, migration the whole rack.
   std::array<std::int32_t, routing::kRepairRungCount> rung_blast_chips{
       {4, 4, 4, 2, 64}};
-  /// Worker threads; 0 means one per hardware thread.  The report is
-  /// bit-identical for every value.
+  /// Worker threads.  0 consults LIGHTPATH_THREADS (util::env_threads),
+  /// then the shared pool.  The report is bit-identical for every value.
   unsigned threads{0};
 };
 

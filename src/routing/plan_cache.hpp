@@ -62,7 +62,7 @@ struct PlanCacheStats {
 };
 
 /// Caching wrapper over CircuitPlanner.  Not thread-safe; each planning
-/// context owns its own cache (the sharded ledger covers concurrency).
+/// context owns its own cache, as it owns its own fabric.
 class PlanCache {
  public:
   explicit PlanCache(fabric::Fabric& fab, RouteOptions options = {},

@@ -66,10 +66,9 @@ class CircuitPlanner {
   /// Tears down everything a report placed.
   void release_all(const PlanReport& report);
 
-  /// Places a single demand (the primitive place_all iterates).  Public so
-  /// the concurrent planner's sequential-commit fallback can reuse it.
-  /// Fails without side effects, as Fabric::connect does, when either
-  /// endpoint is off the fabric.
+  /// Places a single demand (the primitive place_all iterates).  Fails
+  /// without side effects, as Fabric::connect does, when either endpoint is
+  /// off the fabric.
   Result<fabric::CircuitId> place_one(const Demand& demand);
 
  private:

@@ -40,8 +40,9 @@ constexpr auto kPopsAfter = [](const HeapItem& a, const HeapItem& b) {
   return a.key > b.key;
 };
 
-// Per-thread search buffers: plan_jobs routes from ThreadPool workers, and a
-// search that reuses its buffers allocates nothing after the first call.
+// Per-thread search buffers: sweeps run their simulations, and so their
+// route searches, on ThreadPool workers, and a search that reuses its
+// buffers allocates nothing after the first call.
 struct Scratch {
   std::vector<double> dist;            ///< value(counts[s]); +inf when unreached
   std::vector<Cost> counts;            ///< meaningful only where dist is finite

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 namespace lp::util {
@@ -146,12 +145,15 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   pool->run(n, [&](std::size_t i, unsigned) { fn(i); });
 }
 
+ThreadPool& resolve_pool(unsigned threads, std::optional<ThreadPool>& local) {
+  if (threads == 0) threads = env_threads();
+  return threads == 0 ? ThreadPool::shared() : local.emplace(threads);
+}
+
 void run_tasks(unsigned threads, std::size_t n,
                const std::function<void(std::size_t)>& fn) {
-  if (threads == 0) threads = env_threads();
   std::optional<ThreadPool> local;
-  ThreadPool& pool = threads == 0 ? ThreadPool::shared() : local.emplace(threads);
-  parallel_for(n, fn, &pool);
+  parallel_for(n, fn, &resolve_pool(threads, local));
 }
 
 }  // namespace lp::util

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace lp::util {
@@ -76,10 +77,15 @@ class ThreadPool {
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr);
 
-/// Runs `fn(task)` for every task in [0, n) on a pool of `threads` streams.
-/// The count resolves as: the caller's value, else LIGHTPATH_THREADS
-/// (env_threads), else the shared pool.  Every sweep entry point goes
-/// through here, so one environment override reaches all of them.
+/// The pool a sweep of `threads` streams runs on.  The count resolves as:
+/// the caller's value, else LIGHTPATH_THREADS (env_threads), else the
+/// shared pool.  A pool built for the call is emplaced in `local`, which
+/// must outlive its use.  Every sweep entry point resolves its pool here,
+/// so one environment override reaches all of them.
+[[nodiscard]] ThreadPool& resolve_pool(unsigned threads,
+                                       std::optional<ThreadPool>& local);
+
+/// Runs `fn(task)` for every task in [0, n) on resolve_pool(threads).
 void run_tasks(unsigned threads, std::size_t n,
                const std::function<void(std::size_t)>& fn);
 

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,9 +54,9 @@ TEST(ThreadPool, NestedRunExecutesInlineWithoutDeadlock) {
 }
 
 TEST(ThreadPool, ConcurrentCallersEachRunTheirOwnJob) {
-  // Several threads may call run() on one pool at once: every trial of a
-  // cluster sweep on a local pool plans morphs through the shared pool.
-  // Each call must run its own tasks, each exactly once, and return.
+  // Several threads may call run() on one pool at once: the shared pool has
+  // no single owner.  Each call must run its own tasks, each exactly once,
+  // and return.
   ThreadPool pool{4};
   constexpr int kCallers = 4;
   constexpr int kRounds = 300;
@@ -107,6 +109,52 @@ TEST(ParallelFor, CoversRangeOnSharedPool) {
   parallel_for(kTasks,
                [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+// Every sweep resolves its pool through resolve_pool, so LIGHTPATH_THREADS
+// reaches all of them: a count of 0 takes the variable, an explicit count
+// overrides it, and with the variable unset the shared pool serves.
+TEST(ResolvePool, ZeroThreadsFollowsLightpathThreads) {
+  const char* outer = std::getenv("LIGHTPATH_THREADS");
+  const std::optional<std::string> saved =
+      outer != nullptr ? std::optional<std::string>{outer} : std::nullopt;
+
+  ASSERT_EQ(setenv("LIGHTPATH_THREADS", "3", 1), 0);
+  {
+    std::optional<ThreadPool> local;
+    const ThreadPool& pool = resolve_pool(0, local);
+    ASSERT_TRUE(local.has_value());
+    EXPECT_EQ(&pool, &*local);
+    EXPECT_EQ(pool.size(), 3u);
+  }
+  {
+    std::optional<ThreadPool> local;
+    EXPECT_EQ(resolve_pool(2, local).size(), 2u);
+  }
+
+  // One stream: run_tasks executes every task on the calling thread.
+  ASSERT_EQ(setenv("LIGHTPATH_THREADS", "1", 1), 0);
+  {
+    std::optional<ThreadPool> local;
+    EXPECT_EQ(resolve_pool(0, local).size(), 1u);
+  }
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  run_tasks(0, 64, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+
+  ASSERT_EQ(unsetenv("LIGHTPATH_THREADS"), 0);
+  {
+    std::optional<ThreadPool> local;
+    EXPECT_EQ(&resolve_pool(0, local), &ThreadPool::shared());
+    EXPECT_FALSE(local.has_value());
+  }
+
+  if (saved) {
+    ASSERT_EQ(setenv("LIGHTPATH_THREADS", saved->c_str(), 1), 0);
+  }
 }
 
 // The determinism contract: a floating-point reduction whose per-task values
