@@ -596,6 +596,115 @@ TEST(DriveRecovery, AllTransientClimbsLeaveTheVictimEstablished) {
       << "nothing committed: the victim stays up for a later climb";
 }
 
+// Every observable of drive_recovery under transient oracles, folded per
+// (victim, oracle) cell over budgets, rung backoff jitter and validate
+// hooks.  A climb that fails leaves the ledger as it found it, so later
+// climbs re-probe the same rung-2 strategies; these pins hold what those
+// re-probes decide fixed, whatever the ladder remembers between them.
+enum class Oracle { kAlways, kFirstThree, kOddOrdinals, kNever };
+
+std::uint64_t transient_recovery_digest(bool cross_wafer, bool hard_down, Oracle oracle) {
+  std::uint64_t h = 0;
+  const auto fold = [&h](std::uint64_t v) { h = fabric::hash_mix(h, v); };
+  for (const Duration budget :
+       {Duration::zero(), Duration::micros(5.0), RecoveryPolicy{}.initial_budget}) {
+    for (const double jitter : {0.0, 0.5}) {
+      for (const int validate : {0, 1, 2}) {  // none, reject all, FaultPlane diagnosis
+        fabric::FabricConfig config;
+        config.wafer_count = 2;  // default wafers; the second carries the cross-wafer victim
+        Fabric fab{config};
+        fab.add_fiber_link({0, 7}, {1, 0}, 16);
+        const GlobalTile dst = cross_wafer ? GlobalTile{1, 3} : GlobalTile{0, 3};
+        const auto id = fab.connect(GlobalTile{0, 0}, dst, 2);
+        EXPECT_TRUE(id.ok());
+        routing::DegradedCircuit victim;
+        victim.id = id.value();
+        victim.hard_down = hard_down;
+        victim.budget_failed = !hard_down;
+
+        FaultPlane plane{fab, {}, {}, /*hysteresis=*/false};
+        routing::EscalationOptions base;
+        if (validate == 1) {
+          base.validate = [](const Fabric&, fabric::CircuitId) { return false; };
+        } else if (validate == 2) {
+          // Loss past the quarantine threshold on the direct route's second
+          // hop: the router detours, the XY strategy finds the edge full.
+          plane.strike({{.kind = fault::FaultKind::kWaveguideLoss, .tile = {0, 1},
+                         .direction = fabric::Direction::kEast,
+                         .excess_loss = Decibel::db(5.0)}},
+                       Decibel::db(3.0));
+          base = plane.repair_options(2);
+        }
+        auto calls = std::make_shared<std::uint32_t>(0);
+        base.transient_failure = [oracle, calls](routing::RepairRung, std::uint32_t ordinal) {
+          ++*calls;
+          switch (oracle) {
+            case Oracle::kAlways: return true;
+            case Oracle::kFirstThree: return *calls <= 3;
+            case Oracle::kOddOrdinals: return ordinal % 2 == 1;
+            case Oracle::kNever: return false;
+          }
+          return false;
+        };
+        RecoveryPolicy policy;
+        policy.initial_budget = budget;
+        policy.rung_backoff.base = Duration::micros(10.0);
+        policy.rung_backoff.jitter_fraction = jitter;
+        policy.rung_backoff.seed = 11;
+        const RecoveryResult res = drive_recovery(fab, victim, policy, base);
+
+        fold(res.climbs);
+        fold(static_cast<std::uint64_t>(res.rung));
+        fold(std::uint64_t{res.recovered} | std::uint64_t{res.fell_through} << 1 |
+             std::uint64_t{res.plan_failure} << 2 | std::uint64_t{res.transient_failed} << 3);
+        fold(res.transient_failures);
+        for (const std::uint32_t n : res.rung_attempts) fold(n);
+        fold(std::bit_cast<std::uint64_t>(res.repair_latency.to_seconds()));
+        fold(std::bit_cast<std::uint64_t>(res.backoff_latency.to_seconds()));
+        fold(*calls);
+        fold(fab.ledger_key());
+      }
+    }
+  }
+  return h;
+}
+
+TEST(DriveRecovery, TransientClimbsMatchPinnedResults) {
+  struct Pin {
+    bool cross_wafer;
+    bool hard_down;
+    Oracle oracle;
+    std::uint64_t digest;
+  };
+  // Recorded before the ladder replayed rung-2 probes across retries and
+  // climbs.
+  const Pin pins[] = {
+      {false, true, Oracle::kAlways, 0x5efa0e667f9ec365},
+      {false, true, Oracle::kFirstThree, 0x42223299f487e725},
+      {false, true, Oracle::kOddOrdinals, 0x512445bf95e6346f},
+      {false, true, Oracle::kNever, 0x512445bf95e6346f},
+      {false, false, Oracle::kAlways, 0x5efa0e667f9ec365},
+      {false, false, Oracle::kFirstThree, 0x42223299f487e725},
+      {false, false, Oracle::kOddOrdinals, 0x512445bf95e6346f},
+      {false, false, Oracle::kNever, 0x512445bf95e6346f},
+      {true, true, Oracle::kAlways, 0x08b48dc0ca6172f5},
+      {true, true, Oracle::kFirstThree, 0x6848408d0c81d849},
+      {true, true, Oracle::kOddOrdinals, 0x3c1052b93349be62},
+      {true, true, Oracle::kNever, 0x95594c2a1b1fe73a},
+      {true, false, Oracle::kAlways, 0x08b48dc0ca6172f5},
+      {true, false, Oracle::kFirstThree, 0x6848408d0c81d849},
+      {true, false, Oracle::kOddOrdinals, 0x3c1052b93349be62},
+      {true, false, Oracle::kNever, 0x95594c2a1b1fe73a},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t got = transient_recovery_digest(pin.cross_wafer, pin.hard_down, pin.oracle);
+    EXPECT_EQ(got, pin.digest) << std::hex << "0x" << got << std::dec
+                               << " cross_wafer=" << pin.cross_wafer
+                               << " hard_down=" << pin.hard_down
+                               << " oracle=" << static_cast<int>(pin.oracle);
+  }
+}
+
 GraySweepConfig small_gray_config() {
   GraySweepConfig config;
   config.base.iterations = 300;
