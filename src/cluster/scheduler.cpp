@@ -522,17 +522,14 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   }
   const std::array<std::uint32_t, 64> saved_cursor = tile_cursor_;
   const std::vector<routing::Demand> demands = stitch_demands(frags);
-  routing::PlanReport plan;
-  if (!demands.empty()) {
-    plan = cache_.place_all(demands);
-    if (!plan.complete()) {
-      cache_.release_all(plan);
-      ocs_.release(ports);
-      unharvest(fresh);
-      tile_cursor_ = saved_cursor;
-      ++report_.morph_aborts;
-      return false;
-    }
+  const routing::PlanReport plan = cache_.place_all(demands);
+  if (!plan.complete()) {
+    cache_.release_all(plan);
+    ocs_.release(ports);
+    unharvest(fresh);
+    tile_cursor_ = saved_cursor;
+    ++report_.morph_aborts;
+    return false;
   }
 
   // Commit: break the old ring, adopt the new placement.

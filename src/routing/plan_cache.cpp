@@ -53,6 +53,8 @@ bool PlanCache::path_quarantined(fabric::GlobalTile src,
 }
 
 PlanReport PlanCache::place_all(const std::vector<Demand>& demands) {
+  // Nothing to plan or replay: no lookup, no entry, no count.
+  if (demands.empty()) return {};
   const std::uint64_t fp = demand_fingerprint(demands);
   const std::uint64_t epoch = fabric_.epoch();
   const std::uint64_t key = fabric_.ledger_key();

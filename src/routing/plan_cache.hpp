@@ -71,7 +71,9 @@ class PlanCache {
   /// Drop-in replacement for CircuitPlanner::place_all.  On a validated
   /// hit, replays the memoized routes; otherwise plans fresh and records
   /// the result.  Reports are bit-identical to the fresh planner's either
-  /// way (modulo CircuitIds, which are allocation-order handles).
+  /// way (modulo CircuitIds, which are allocation-order handles).  An empty
+  /// demand set returns an empty report without a lookup, an entry or a
+  /// count in stats().
   [[nodiscard]] PlanReport place_all(const std::vector<Demand>& demands);
 
   /// Tears down everything a report placed.

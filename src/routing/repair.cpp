@@ -89,6 +89,12 @@ Duration RetryBackoff::delay(std::uint64_t retry) const {
 
 EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
                                   const EscalationOptions& options) {
+  RerouteMemo memo;
+  return escalate_repair(fab, victim, options, memo);
+}
+
+EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
+                                  const EscalationOptions& options, RerouteMemo& memo) {
   EscalationOutcome out;
   const fabric::Circuit* c = fab.circuit(victim.id);
   if (c == nullptr) return out;  // nothing to repair
@@ -174,7 +180,23 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
     // XY/first-fit family.  A deterministic failure advances the strategy
     // (identical attempts never repeat); a transient one retries the same
     // strategy, bounded by retries_per_rung total attempts.
-    const std::uint32_t strategies = src.wafer == dst.wafer ? 2 : 1;
+    const bool same_wafer = src.wafer == dst.wafer;
+    const std::uint32_t strategies = same_wafer ? 2 : 1;
+    auto place = [&](std::uint32_t strategy) -> Result<fabric::CircuitId> {
+      if (!same_wafer || strategy == 1) return fab.connect(src, dst, lambdas);
+      // Route via the plan cache when one is wired in: repeated searches
+      // over an unchanged ledger reuse the memoized route.
+      std::optional<std::vector<fabric::Direction>> hops;
+      if (options.cache != nullptr) {
+        hops = options.cache->route_for(Demand{src, dst, lambdas});
+      } else {
+        RouteOptions ro = options.route;
+        ro.lanes = lambdas;
+        hops = find_route(fab.wafer(src.wafer), src.tile, dst.tile, ro);
+      }
+      if (!hops) return Err("no feasible route");
+      return fab.connect_via(src, dst, *hops, lambdas);
+    };
     const Duration rung_start = out.latency;
     std::uint32_t s = 0;
     for (std::uint32_t tries = 0; s < strategies && tries < options.retries_per_rung;
@@ -183,35 +205,32 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
       if (tries > 0 && rung_expired(rung_start)) break;
       if (tries > 0) wait_before_retry(tries);
       attempt(RepairRung::kReroute);
-      Result<fabric::CircuitId> placed = Err("unattempted");
-      if (src.wafer == dst.wafer && s == 0) {
-        // Route via the plan cache when one is wired in: repeated climbs
-        // over an unchanged ledger reuse the memoized search.
-        std::optional<std::vector<fabric::Direction>> hops;
-        if (options.cache != nullptr) {
-          hops = options.cache->route_for(Demand{src, dst, lambdas});
-        } else {
-          RouteOptions ro = options.route;
-          ro.lanes = lambdas;
-          hops = find_route(fab.wafer(src.wafer), src.tile, dst.tile, ro);
-        }
-        placed = hops ? fab.connect_via(src, dst, *hops, lambdas)
-                      : Result<fabric::CircuitId>{Err("no feasible route")};
-      } else {
-        placed = fab.connect(src, dst, lambdas);
-      }
-      if (!placed) {
+      // A strategy already probed over this ledger replays its outcome and
+      // leaves the fabric alone: the same charges, and the oracle asked at
+      // the same point.  An oracle miss still commits live.
+      std::optional<RerouteMemo::Probe>& probe = memo.probes[s];
+      const std::uint64_t key = fab.ledger_key();
+      const std::uint64_t epoch = fab.epoch();
+      const bool known = probe && probe->ledger_key == key && probe->epoch == epoch;
+      if (known && !(probe->placed && probe->accepted)) {
         out.latency += probe_cost(fab);
         ++s;
         continue;
       }
-      if (!accept(options, fab, placed.value())) {
-        fab.disconnect(placed.value());
+      if (known && transient(RepairRung::kReroute)) {
+        out.latency += probe_cost(fab);
+        continue;
+      }
+      const Result<fabric::CircuitId> placed = place(s);
+      const bool accepted = placed && accept(options, fab, placed.value());
+      probe = RerouteMemo::Probe{placed.ok(), accepted, key, epoch};
+      if (!accepted) {
+        if (placed) fab.disconnect(placed.value());
         out.latency += probe_cost(fab);
         ++s;
         continue;
       }
-      if (transient(RepairRung::kReroute)) {
+      if (!known && transient(RepairRung::kReroute)) {
         // The replacement programmed but never validated up (the link
         // flapped back / the settle timed out): roll it back, same strategy
         // may be retried.

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "lightpath/fabric.hpp"
@@ -169,9 +170,10 @@ struct EscalationOptions {
   /// the attempt counts as failed.  Null accepts everything.
   std::function<bool(const fabric::Fabric&, fabric::CircuitId)> validate;
   /// Optional plan cache: rung 2's same-wafer route search goes through
-  /// PlanCache::route_for, so repeated climbs over an unchanged ledger
-  /// (e.g. drive_recovery's budget-exhausted retries) skip the Dijkstra.
-  /// Null plans fresh.  Not owned.
+  /// PlanCache::route_for, so recoveries over an unchanged ledger (a flap
+  /// thrash's successive flaps) skip the search; within one recovery the
+  /// RerouteMemo already runs it at most once.  Null plans fresh.  Not
+  /// owned.
   PlanCache* cache{nullptr};
   /// Wait schedule between failed attempts *within* a rung (retry k of a
   /// rung waits backoff.delay(k) first).  Waits are charged to latency and
@@ -228,14 +230,41 @@ struct EscalationOutcome {
   std::array<std::uint32_t, kRepairRungCount> attempts{};
 };
 
+/// What each rung-2 strategy did when it was last probed, for one victim's
+/// recovery.  Until a commit ends the recovery, every rung-2 attempt starts
+/// from the same ledger (a failed attempt tears its replacement down), and
+/// over a fixed ledger a strategy places the same circuit and the validate
+/// hook returns the same verdict.  So a later attempt of a strategy recorded
+/// under the current Fabric::ledger_key() and epoch() replays the outcome
+/// and leaves the fabric alone; if either moved, it probes live again
+/// (DESIGN §6).  A memo serves one victim and one set of options (budget,
+/// backoff and the transient oracle aside).
+struct RerouteMemo {
+  struct Probe {
+    bool placed{false};
+    bool accepted{false};
+    std::uint64_t ledger_key{0};
+    std::uint64_t epoch{0};
+  };
+  /// Indexed by strategy: the router family, then the XY/first-fit family.
+  std::array<std::optional<Probe>, 2> probes{};
+};
+
 /// Climbs the repair ladder for one degraded circuit.  Every failed attempt
 /// leaves the fabric exactly as it found it (make-before-break reroutes,
 /// transactional respare via repair_with_spare, validation rejects tear the
 /// replacement down).  Returns the first rung that recovered the traffic;
 /// rung 5 (rack migration) always succeeds, so recovered is false only when
-/// `victim.id` names no established circuit.
+/// `victim.id` names no established circuit.  Rung 2 probes each strategy
+/// once per memo: pass one memo to every climb of a recovery
+/// (runtime::drive_recovery does); the first form keeps one for its own
+/// retries.
 [[nodiscard]] EscalationOutcome escalate_repair(fabric::Fabric& fab,
                                                 const DegradedCircuit& victim,
                                                 const EscalationOptions& options = {});
+[[nodiscard]] EscalationOutcome escalate_repair(fabric::Fabric& fab,
+                                                const DegradedCircuit& victim,
+                                                const EscalationOptions& options,
+                                                RerouteMemo& memo);
 
 }  // namespace lp::routing

@@ -77,8 +77,8 @@ class FaultPlane {
  private:
   fabric::Fabric& fab_;
   fault::HealthMonitor monitor_;
-  /// Route memo for the repair ladder: drive_recovery's budget-exhausted
-  /// re-climbs leave the ledger exactly as found, so the repeat search hits.
+  /// Route memo for the repair ladder: a naive flap's recovery leaves the
+  /// ledger exactly as found, so the next flap's search hits.
   routing::PlanCache cache_;
   /// Per-event applied overlays, in strike order (revert_all undoes them).
   std::vector<fault::FaultSet> applied_;

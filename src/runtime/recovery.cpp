@@ -24,6 +24,9 @@ RecoveryResult drive_recovery(fabric::Fabric& fab,
   base.migration_latency = Duration::zero();
   base.rung_timeout = policy.rung_timeout;
 
+  // Climbs that end unrecovered leave the ledger as they found it, so one
+  // memo lets rung 2 probe each strategy once for the whole recovery.
+  routing::RerouteMemo memo;
   Duration budget = policy.initial_budget;
   Duration backoff = policy.backoff_base;
   for (std::uint32_t attempt = 0; attempt <= policy.max_attempts; ++attempt) {
@@ -34,7 +37,7 @@ RecoveryResult drive_recovery(fabric::Fabric& fab,
     // Distinct jitter stream per climb: retries of climb N never reuse the
     // waits of climb N-1, yet every rerun charges the same waits.
     opts.backoff.seed = util::task_seed(policy.rung_backoff.seed, attempt);
-    const routing::EscalationOutcome out = routing::escalate_repair(fab, victim, opts);
+    const routing::EscalationOutcome out = routing::escalate_repair(fab, victim, opts, memo);
     ++res.climbs;
     for (std::size_t k = 0; k < routing::kRepairRungCount; ++k) {
       res.rung_attempts[k] += out.attempts[k];

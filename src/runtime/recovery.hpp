@@ -89,8 +89,9 @@ struct RecoveryResult {
 /// Drives escalate_repair for one victim under the policy's bounded-timeout
 /// schedule: climb with initial_budget, and on budget exhaustion wait
 /// backoff, multiply both by backoff_factor, and climb again (the fabric is
-/// untouched by an exhausted climb, so a retry re-probes the same rungs —
-/// that wall clock is charged).  After max_attempts bounded climbs one
+/// untouched by an exhausted climb, so a retry meets the same rungs — one
+/// RerouteMemo replays rung 2's probes across the climbs, and their wall
+/// clock is charged as if re-probed).  After max_attempts bounded climbs one
 /// unbounded climb settles the matter.  `base` carries the caller's route
 /// options, spare candidates, and validate hook; its budget, retries, and
 /// electrical/migration knobs are overwritten here.

@@ -10,11 +10,14 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/host_stack.hpp"
+#include "fault/gray.hpp"
 #include "lightpath/fabric.hpp"
+#include "runtime/fault_plane.hpp"
 
 namespace {
 std::atomic<std::size_t> allocations{0};
@@ -133,6 +136,37 @@ TEST(ChurnAllocations, HostStackEvictionAllocatesNothing) {
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(stack.stats().misses - before.misses, std::uint64_t{kCycles});
   EXPECT_EQ(stack.stats().evictions - before.evictions, std::uint64_t{kCycles});
+}
+
+// A naive controller climbs the ladder on every flap, and inside the dip
+// every attempt fails transiently, so each climb leaves the ledger as it
+// found it.  The recovery probes each reroute strategy once and replays the
+// outcome on later retries and climbs: a flap allocates the same whatever
+// the number of climbs it runs.
+TEST(ChurnAllocations, NaiveFlapAllocatesTheSameAtAnyClimbCount) {
+  const auto flap_allocations = [](std::uint32_t max_attempts) {
+    Fabric fab;
+    const Result<CircuitId> id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
+    EXPECT_TRUE(id.ok());
+    runtime::FaultPlane plane{fab, {}, {}, /*hysteresis=*/false};
+    runtime::RecoveryPolicy policy;
+    policy.initial_budget = Duration::zero();  // unbounded: every climb runs out of rungs
+    policy.max_attempts = max_attempts;
+    const std::uint64_t key = fault::gray_component_key({0, 0}, Direction::kEast);
+    // Warm-up: the plan cache's route memo and the circuit slots grow once.
+    EXPECT_TRUE(plane.flap(key, Duration::zero(), id.value(), policy, 2).has_value());
+    const std::size_t before = allocations.load();
+    const std::optional<runtime::RecoveryResult> res =
+        plane.flap(key, Duration::millis(1.0), id.value(), policy, 2);
+    const std::size_t n = allocations.load() - before;
+    EXPECT_TRUE(res.has_value() && res->transient_failed);
+    EXPECT_EQ(res.has_value() ? res->climbs : 0u, max_attempts + 1);
+    return n;
+  };
+  const std::size_t one = flap_allocations(1);
+  EXPECT_EQ(flap_allocations(3), one) << "4 climbs against 2";
+  EXPECT_EQ(flap_allocations(9), one) << "10 climbs against 2";
+  RecordProperty("allocations_per_flap", static_cast<int>(one));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -275,6 +276,31 @@ TEST(PlanCache, EvictionKeepsCacheBounded) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
+// A stitch ring with no demand (a single-fragment morph) has nothing to
+// plan or replay: it must neither count a lookup nor take an LRU slot.
+TEST(PlanCache, EmptyDemandSetRecordsNothing) {
+  Fabric fab = make_fabric();
+  PlanCache cache{fab, RouteOptions{}, /*max_entries=*/1};
+  const std::vector<Demand> real{{{0, 0}, {0, 31}, 1}};
+  cache.release_all(cache.place_all(real));
+  const std::uint64_t key = fab.ledger_key();
+  for (int round = 0; round < 3; ++round) {
+    const PlanReport report = cache.place_all({});
+    EXPECT_TRUE(report.placed.empty());
+    EXPECT_TRUE(report.failed.empty());
+    EXPECT_EQ(report.mzis_programmed, 0u);
+    EXPECT_EQ(report.reconfig_latency, Duration::zero());
+    EXPECT_EQ(fab.ledger_key(), key);
+  }
+  const PlanCacheStats& s = cache.stats();
+  EXPECT_EQ(s.misses, 1u) << "only the real plan was looked up";
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.evictions, 0u) << "the real plan keeps the cache's only slot";
+  EXPECT_EQ(cache.size(), 1u);
+  cache.release_all(cache.place_all(real));
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
 // --- route_for (the repair ladder's entry point) ---------------------------
 
 TEST(PlanCache, OffFabricDemandFailsWithoutSideEffects) {
@@ -395,10 +421,11 @@ TEST(PlanCacheRepair, SuccessfulRungBumpsEpoch) {
   EXPECT_GT(fab.epoch(), before);
 }
 
-TEST(PlanCacheRepair, RepeatedBudgetExhaustedClimbsHitRouteCache) {
-  // drive_recovery's retry loop re-runs the same rung-2 search against an
-  // unchanged ledger after every budget-exhausted climb — exactly the
-  // pattern route_for memoizes.
+TEST(PlanCacheRepair, RepeatedBudgetExhaustedClimbsSearchAndValidateOnce) {
+  // drive_recovery re-climbs against an unchanged ledger after every
+  // budget-exhausted climb.  Rung 2 probes each strategy once for the whole
+  // recovery and replays the outcome on later climbs: one route search, and
+  // one validation per strategy.
   Fabric fab = make_fabric();
   PlanCache cache{fab};
   auto id = fab.connect({0, 0}, {0, 31}, 1);
@@ -412,7 +439,11 @@ TEST(PlanCacheRepair, RepeatedBudgetExhaustedClimbsHitRouteCache) {
   opts.cache = &cache;
   // Reject every replacement so no rung ever commits (no epoch bump, exact
   // ledger restore); a tiny per-climb budget forces repeat climbs.
-  opts.validate = [](const Fabric&, fabric::CircuitId) { return false; };
+  auto validations = std::make_shared<std::uint32_t>(0);
+  opts.validate = [validations](const Fabric&, fabric::CircuitId) {
+    ++*validations;
+    return false;
+  };
 
   runtime::RecoveryPolicy policy;
   policy.max_attempts = 2;
@@ -420,9 +451,13 @@ TEST(PlanCacheRepair, RepeatedBudgetExhaustedClimbsHitRouteCache) {
   policy.initial_budget = Duration::micros(5.0);
   const auto res = runtime::drive_recovery(fab, victim, policy, opts);
   EXPECT_FALSE(res.recovered);
+  EXPECT_EQ(res.climbs, 3u);
+  EXPECT_EQ(res.rung_attempts[rung_index(RepairRung::kReroute)], 6u)
+      << "both strategies are attempted, and charged, on every climb";
   EXPECT_EQ(cache.stats().route_misses, 1u);
-  EXPECT_GE(cache.stats().route_hits, 1u)
-      << "repeat climbs over an unchanged ledger should reuse the route memo";
+  EXPECT_EQ(cache.stats().route_hits, 0u)
+      << "later climbs replay the router strategy's probe instead of searching";
+  EXPECT_EQ(*validations, 2u) << "one validation per strategy for the whole recovery";
 }
 
 // --- Quarantine view (gray failures; fault/health.hpp FlapDamper) ----------

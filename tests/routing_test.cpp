@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "lightpath/fabric.hpp"
 #include "routing/decentralized.hpp"
+#include "routing/plan_cache.hpp"
 #include "routing/planner.hpp"
 #include "routing/repair.hpp"
 #include "routing/router.hpp"
@@ -786,6 +788,78 @@ TEST(Escalate, BudgetGatedRungChargesNoAttemptsOrLatency) {
   EXPECT_EQ(out.attempts[rung_index(RepairRung::kRackMigration)], 0u);
   EXPECT_EQ(out.latency, one_attempt)
       << "no rolled-back latency from rungs the budget gated off";
+}
+
+// Rung 2 replays a strategy's probe only over the ledger it was recorded
+// under.  Two climbs of one recovery share a memo; between the first
+// climb's probes and the second climb's reroute, the second climb's oracle
+// connects a circuit onto the victim's only route (at its first call, on
+// the retune rung, with no replacement up).  The reroute must then place
+// live, fail, and advance to the next strategy, as a climb with a fresh
+// memo does; replaying the stale probe would ask the oracle instead and
+// retry the same strategy.
+TEST(Escalate, RerouteReprobesWhenTheLedgerMoves) {
+  FabricConfig config;
+  config.wafer.rows = 1;
+  config.wafer.cols = 4;
+  config.wafer.lanes_per_edge = 2;  // the victim's lane plus one
+  struct Run {
+    EscalationOutcome second;
+    std::uint32_t oracle_calls{0};
+    std::uint64_t route_misses{0};
+    std::uint64_t ledger_key{0};
+  };
+  const auto run = [&config](bool shared_memo) {
+    Fabric fab{config};
+    PlanCache cache{fab};
+    const auto id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 1);
+    EXPECT_TRUE(id.ok());
+    DegradedCircuit victim;
+    victim.id = id.value();
+    victim.budget_failed = true;
+    victim.dead_lasers = 1;  // retune runs, and asks the oracle, before the reroute
+    EscalationOptions opts;
+    opts.cache = &cache;
+    opts.transient_failure = [](RepairRung, std::uint32_t) { return true; };
+    RerouteMemo memo;
+    RerouteMemo fresh;
+    const EscalationOutcome first = escalate_repair(fab, victim, opts, memo);
+    EXPECT_TRUE(first.transient_failed);
+    EXPECT_EQ(first.attempts[rung_index(RepairRung::kReroute)], 2u)
+        << "the router strategy, then its transient retry";
+
+    auto calls = std::make_shared<std::uint32_t>(0);
+    opts.transient_failure = [&fab, calls](RepairRung, std::uint32_t) {
+      if (++*calls == 1) {
+        EXPECT_TRUE(fab.connect(GlobalTile{0, 1}, GlobalTile{0, 2}, 1).ok());
+      }
+      return true;
+    };
+    Run r;
+    r.second = escalate_repair(fab, victim, opts, shared_memo ? memo : fresh);
+    r.oracle_calls = *calls;
+    r.route_misses = cache.stats().route_misses;
+    r.ledger_key = fab.ledger_key();
+    return r;
+  };
+  const Run shared = run(true);
+  const Run reference = run(false);
+
+  const EscalationOutcome& out = shared.second;
+  EXPECT_TRUE(out.transient_failed);
+  EXPECT_EQ(out.attempts[rung_index(RepairRung::kReroute)], 2u)
+      << "both strategies, each failing deterministically";
+  EXPECT_EQ(out.transient_failures, 4u) << "two retunes and two migrations, no reroute";
+  EXPECT_EQ(shared.oracle_calls, 4u);
+  EXPECT_EQ(shared.route_misses, 2u) << "the router strategy searched again";
+
+  EXPECT_EQ(out.transient_failed, reference.second.transient_failed);
+  EXPECT_EQ(out.attempts, reference.second.attempts);
+  EXPECT_EQ(out.transient_failures, reference.second.transient_failures);
+  EXPECT_EQ(out.latency, reference.second.latency);
+  EXPECT_EQ(shared.oracle_calls, reference.oracle_calls);
+  EXPECT_EQ(shared.route_misses, reference.route_misses);
+  EXPECT_EQ(shared.ledger_key, reference.ledger_key);
 }
 
 TEST(Escalate, EmptySpareListAndInfeasibleDetourCountZeroAttempts) {
