@@ -210,10 +210,12 @@ void BM_TunerPickColdEvaluation(benchmark::State& state) {
 BENCHMARK(BM_TunerPickColdEvaluation);
 
 void BM_BuildHalvingDoubling(benchmark::State& state) {
+  const Autotuner tuner;
   const auto members = group(56);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(coll::build_halving_doubling_all_reduce_schedule(
-        members, DataSize::mib(64), Bandwidth::gBps(75.0), Duration::micros(3.7)));
+    benchmark::DoNotOptimize(tuner.build(CollOp::kAllReduce, Algorithm::kHalvingDoubling,
+                                         members, DataSize::mib(64), Bandwidth::gBps(75.0),
+                                         Duration::micros(3.7)));
   }
 }
 BENCHMARK(BM_BuildHalvingDoubling);

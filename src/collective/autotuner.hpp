@@ -1,16 +1,19 @@
 // NCCL-style collective autotuner over the alpha-beta-r model.
 //
 // Given (collective op, message size, member group, fabric health state),
-// the tuner evaluates a closed-form alpha-beta-r cost for every candidate
-// schedule and returns the predicted-fastest.  The cost convention matches
-// the flow simulator exactly: a schedule's measured cost is defined as
+// the tuner prices every candidate schedule and returns the
+// predicted-fastest.  A candidate is one row of the lowering
+// (collective/lowering.hpp), and predict() folds that row's phase list,
+// the same list build() expands into the schedule, so a prediction cannot
+// drift from the schedule it prices.  The cost convention matches the flow
+// simulator exactly: a schedule's measured cost is defined as
 //
 //   sim::FlowSimulator::run(schedule).total + alpha * alpha_units(schedule)
 //
 // where alpha_units charges the per-send software overhead the simulator
 // itself does not model (one unit per phase per posting source; see
-// alpha_units below).  Because every group_schedules builder emits uniform
-// byte counts per phase, predict() reproduces that measured cost to within
+// alpha_units below).  Every lowered phase moves uniform bytes on
+// dedicated circuits, so predict() reproduces that measured cost to within
 // floating-point rounding — the differential harness in autotuner_test
 // asserts it, and any divergence (a mispredicted pick beyond the
 // documented tolerance) is a test failure, not a soft warning.
@@ -44,74 +47,23 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
-#include "collective/group_schedules.hpp"
+#include "collective/lowering.hpp"
 #include "collective/schedule.hpp"
 #include "topo/cluster.hpp"
 #include "util/units.hpp"
 
 namespace lp::coll {
 
-enum class CollOp : std::uint8_t {
-  kReduceScatter = 0,
-  kAllGather = 1,
-  kAllReduce = 2,
-  kBroadcast = 3,
-  kAllToAll = 4,
-  kTransfer = 5,
-};
-
-/// Candidate schedule families.  The enumerator value IS the fixed
-/// tie-break rank: lower wins on equal predicted cost.
-enum class Algorithm : std::uint8_t {
-  kRing = 0,
-  kTree = 1,
-  kHalvingDoubling = 2,
-  kRotation = 3,
-  kPipeline = 4,
-  kDirect = 5,
-  kStriped = 6,
-};
-
-[[nodiscard]] constexpr const char* to_string(CollOp op) {
-  switch (op) {
-    case CollOp::kReduceScatter: return "ReduceScatter";
-    case CollOp::kAllGather: return "AllGather";
-    case CollOp::kAllReduce: return "AllReduce";
-    case CollOp::kBroadcast: return "Broadcast";
-    case CollOp::kAllToAll: return "AllToAll";
-    case CollOp::kTransfer: return "Transfer";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr const char* to_string(Algorithm a) {
-  switch (a) {
-    case Algorithm::kRing: return "ring";
-    case Algorithm::kTree: return "tree";
-    case Algorithm::kHalvingDoubling: return "halving-doubling";
-    case Algorithm::kRotation: return "rotation";
-    case Algorithm::kPipeline: return "pipeline";
-    case Algorithm::kDirect: return "direct";
-    case Algorithm::kStriped: return "striped";
-  }
-  return "?";
-}
-
-/// Fixed tie-break rank (documented total order, first key after cost).
-[[nodiscard]] constexpr int algorithm_rank(Algorithm a) {
-  return static_cast<int>(a);
-}
-
 struct TunerParams {
   /// Per-send software overhead (the cost model's alpha), charged once per
   /// phase per posting source on top of the simulated wire time.
   Duration alpha{Duration::micros(1.0)};
-  /// Chunk count for the pipeline broadcast candidate.
+  /// Chunk count for the pipeline broadcast candidate (0 counts as 1).
   std::uint32_t broadcast_chunks{16};
-  /// Stripe count for the striped transfer candidate.
+  /// Stripe count for the striped transfer candidate (0 counts as 1).
   std::uint32_t stripe_ways{4};
   /// Decision-cache reset threshold (entries).
   std::size_t cache_capacity{std::size_t{1} << 16};
@@ -135,14 +87,16 @@ class Autotuner {
 
   [[nodiscard]] const TunerParams& params() const { return params_; }
 
-  /// Candidate algorithms for `op`, in rank order.
-  [[nodiscard]] static std::vector<Algorithm> candidates(CollOp op);
+  /// Candidate algorithms for `op`, in rank order: the lowering's rows.
+  [[nodiscard]] static std::span<const Algorithm> candidates(CollOp op);
 
-  /// Closed-form alpha-beta-r cost of `algo` on a group of `m` members
-  /// exchanging `n` bytes over dedicated circuits at `rate` with
-  /// reconfiguration delay `reconfig`.  Equals the measured cost of the
-  /// corresponding build() schedule (see header comment) to within
-  /// floating-point rounding.
+  /// Alpha-beta-r cost of `algo` on a group of `m` members exchanging `n`
+  /// bytes over dedicated circuits at `rate` with reconfiguration delay
+  /// `reconfig`: the lowered phases folded in schedule order, each adding
+  /// alpha * units + pre_delay + transfer_time(bytes, rate).  Equals the
+  /// measured cost of the corresponding build() schedule (see header
+  /// comment) to within floating-point rounding; infinite for a pair no row
+  /// lowers.  Allocates nothing.
   [[nodiscard]] Duration predict(CollOp op, Algorithm algo, std::size_t m,
                                  DataSize n, Bandwidth rate,
                                  Duration reconfig) const;
@@ -151,7 +105,7 @@ class Autotuner {
   /// Computes the topology fingerprint from `members` — callers that
   /// already hold a fingerprint should use pick_keyed.
   [[nodiscard]] Decision pick(CollOp op, DataSize n,
-                              const std::vector<topo::TpuId>& members,
+                              std::span<const topo::TpuId> members,
                               Bandwidth rate, Duration reconfig,
                               std::uint64_t fabric_epoch);
 
@@ -162,10 +116,11 @@ class Autotuner {
                                     Bandwidth rate, Duration reconfig,
                                     std::uint64_t fabric_epoch);
 
-  /// Materializes the chosen schedule.  For CollOp::kTransfer the group is
+  /// Materializes the chosen schedule (lower_schedule with this tuner's
+  /// chunk and stripe counts).  For CollOp::kTransfer the group is
   /// {src, dst}.
   [[nodiscard]] Schedule build(CollOp op, Algorithm algo,
-                               const std::vector<topo::TpuId>& members,
+                               std::span<const topo::TpuId> members,
                                DataSize n, Bandwidth rate,
                                Duration reconfig) const;
 
@@ -176,12 +131,10 @@ class Autotuner {
   /// Order-sensitive hash of (members, rate, reconfig): the fabric-health
   /// component of the cache key.
   [[nodiscard]] static std::uint64_t topology_fingerprint(
-      const std::vector<topo::TpuId>& members, Bandwidth rate,
-      Duration reconfig);
+      std::span<const topo::TpuId> members, Bandwidth rate, Duration reconfig);
 
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-  void clear();
 
  private:
   struct Entry {
@@ -193,6 +146,9 @@ class Autotuner {
     Duration predicted{Duration::zero()};
   };
 
+  /// The lowering's inputs at this tuner's chunk and stripe counts.
+  [[nodiscard]] LoweringParams lowering(DataSize n, Duration reconfig) const;
+
   /// Uncached evaluation: min over candidates by (cost, rank, name).
   [[nodiscard]] Decision evaluate(CollOp op, std::size_t m, DataSize n,
                                   Bandwidth rate, Duration reconfig) const;
@@ -203,24 +159,6 @@ class Autotuner {
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
 };
-
-/// One phase of a schedule as its cost sees it: every transfer in the phase
-/// moves `bytes` on its own dedicated circuit at the schedule's one rate, so
-/// the phase lasts pre_delay + transfer_time(bytes, rate) whichever chips
-/// the members are.
-struct PhaseStep {
-  Duration pre_delay{Duration::zero()};
-  DataSize bytes{DataSize::zero()};
-};
-
-/// The phases Autotuner::build(CollOp::kAllReduce, algo, members, n, rate,
-/// reconfig) emits for m = members.size(), in schedule order, built without
-/// a single Transfer: the cost definition the runtime charges per bucket.
-/// Defined for every candidates(CollOp::kAllReduce) algorithm (empty for
-/// any other, and for m < 2); the builders must agree with it phase for
-/// phase (PhaseWalk.FoldMatchesBuiltScheduleBitForBit).
-[[nodiscard]] std::vector<PhaseStep> all_reduce_phases(Algorithm algo, std::size_t m,
-                                                       DataSize n, Duration reconfig);
 
 /// The per-schedule software-overhead unit count: for each phase, the
 /// maximum number of transfers any single source posts (every source's

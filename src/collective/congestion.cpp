@@ -41,36 +41,14 @@ SliceTraffic slice_traffic(const TpuCluster& cluster, const topo::Slice& slice,
                            RingSelection selection) {
   SliceTraffic traffic;
   traffic.slice = slice.id;
-  const topo::Shape& rack_shape = cluster.config().rack_shape;
-
-  const auto usable = usable_dims(slice, rack_shape);
-  const auto active = active_dims(slice);
-
   if (selection == RingSelection::kUsableOnly) {
-    // Realize the electrical plan: snake over partially-spanned dims (plus
-    // the first usable dim), proper rings over the rest.
-    std::vector<std::size_t> snake_dims;
-    std::vector<std::size_t> proper;
-    for (std::size_t d : active) {
-      if (std::find(usable.begin(), usable.end(), d) == usable.end())
-        snake_dims.push_back(d);
-    }
-    if (!snake_dims.empty()) {
-      if (!usable.empty()) {
-        snake_dims.push_back(usable.front());
-        proper.assign(usable.begin() + 1, usable.end());
-      }
-      for (auto& ring : snake_rings(cluster, slice, snake_dims))
-        traffic.rings.push_back(std::move(ring));
-    } else {
-      proper = usable;
-    }
-    for (std::size_t d : proper) {
-      for (auto& ring : rings_in_dim(cluster, slice, d))
+    // Realize the electrical plan: the snake stage, then the proper dims.
+    for (const RingStage& stage : build_plan(slice, cluster.config().rack_shape).stages) {
+      for (auto& ring : realize_stage(cluster, slice, stage))
         traffic.rings.push_back(std::move(ring));
     }
   } else {
-    for (std::size_t d : active) {
+    for (std::size_t d : active_dims(slice)) {
       for (auto& ring : rings_in_dim(cluster, slice, d))
         traffic.rings.push_back(std::move(ring));
     }
@@ -150,28 +128,6 @@ std::optional<std::vector<TpuId>> find_uncongested_path(const TpuCluster& cluste
     }
   }
   return std::nullopt;
-}
-
-std::vector<DirectedLink> links_on_chip_path(const TpuCluster& cluster,
-                                             const std::vector<TpuId>& path) {
-  std::vector<DirectedLink> links;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const topo::Coord a = cluster.coord_of(path[i]);
-    const topo::Coord b = cluster.coord_of(path[i + 1]);
-    for (std::uint8_t d = 0; d < topo::kDims; ++d) {
-      if (a[d] == b[d]) continue;
-      const std::int32_t e = cluster.config().rack_shape[d];
-      std::int8_t sign;
-      if ((a[d] + 1) % e == b[d]) {
-        sign = +1;
-      } else {
-        sign = -1;
-      }
-      links.push_back(DirectedLink{path[i], d, sign});
-      break;
-    }
-  }
-  return links;
 }
 
 }  // namespace lp::coll

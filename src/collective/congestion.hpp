@@ -93,9 +93,4 @@ struct RackAnalysis {
     const topo::TpuCluster& cluster, const topo::SliceAllocator& alloc,
     const LinkLoad& busy, topo::TpuId from, topo::TpuId to);
 
-/// Directed links along a chip path (consecutive chips must be torus
-/// neighbors within one rack).
-[[nodiscard]] std::vector<topo::DirectedLink> links_on_chip_path(
-    const topo::TpuCluster& cluster, const std::vector<topo::TpuId>& path);
-
 }  // namespace lp::coll

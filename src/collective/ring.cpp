@@ -166,4 +166,21 @@ std::vector<RingRealization> snake_rings(const TpuCluster& cluster,
   return rings;
 }
 
+std::vector<RingRealization> realize_stage(const TpuCluster& cluster,
+                                           const topo::Slice& slice,
+                                           const RingStage& stage) {
+  if (!stage.snake) {
+    return rings_in_dim(cluster, slice, static_cast<std::size_t>(stage.dim));
+  }
+  // Recover the snake dims the plan folded: partially-spanned active dims
+  // plus the first usable dim.
+  const auto usable = usable_dims(slice, cluster.config().rack_shape);
+  std::vector<std::size_t> snake_dims;
+  for (std::size_t d : active_dims(slice)) {
+    if (std::find(usable.begin(), usable.end(), d) == usable.end()) snake_dims.push_back(d);
+  }
+  if (!usable.empty()) snake_dims.push_back(usable.front());
+  return snake_rings(cluster, slice, snake_dims);
+}
+
 }  // namespace lp::coll

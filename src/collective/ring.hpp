@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "collective/cost_model.hpp"
 #include "topo/cluster.hpp"
 #include "topo/slice.hpp"
 
@@ -50,5 +51,12 @@ struct RingRealization {
 [[nodiscard]] std::vector<RingRealization> snake_rings(const topo::TpuCluster& cluster,
                                                        const topo::Slice& slice,
                                                        const std::vector<std::size_t>& dims);
+
+/// The rings realizing one stage of the slice's plan (build_plan): for the
+/// snake stage, the serpentine rings over every partially-spanned active dim
+/// plus the first usable dim; for any other stage, the +d rings of its dim.
+[[nodiscard]] std::vector<RingRealization> realize_stage(const topo::TpuCluster& cluster,
+                                                         const topo::Slice& slice,
+                                                         const RingStage& stage);
 
 }  // namespace lp::coll

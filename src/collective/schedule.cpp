@@ -2,15 +2,9 @@
 
 #include <algorithm>
 
-#include "collective/group_schedules.hpp"
+#include "collective/lowering.hpp"
 
 namespace lp::coll {
-
-std::size_t Schedule::transfer_count() const {
-  std::size_t n = 0;
-  for (const auto& p : phases) n += p.transfers.size();
-  return n;
-}
 
 DataSize Schedule::total_bytes() const {
   DataSize total = DataSize::zero();
@@ -21,26 +15,6 @@ DataSize Schedule::total_bytes() const {
 }
 
 namespace {
-
-/// Rings realizing one plan stage.
-std::vector<RingRealization> realize_stage(const topo::TpuCluster& cluster,
-                                           const topo::Slice& slice,
-                                           const RingStage& stage) {
-  if (stage.snake) {
-    // Recover the snake dims the plan folded: partially-spanned active dims
-    // plus the first usable dim.
-    const topo::Shape& rack_shape = cluster.config().rack_shape;
-    const auto usable = usable_dims(slice, rack_shape);
-    std::vector<std::size_t> snake_dims;
-    for (std::size_t d : active_dims(slice)) {
-      if (std::find(usable.begin(), usable.end(), d) == usable.end())
-        snake_dims.push_back(d);
-    }
-    if (!usable.empty()) snake_dims.push_back(usable.front());
-    return snake_rings(cluster, slice, snake_dims);
-  }
-  return rings_in_dim(cluster, slice, static_cast<std::size_t>(stage.dim));
-}
 
 /// The directed links of one cycle edge of a realized ring.  The realized
 /// link list is ordered edge-by-edge, so recover edge boundaries by walking.
@@ -166,11 +140,13 @@ Schedule build_broadcast_schedule(const topo::TpuCluster& cluster,
   const RingRealization ring = snake_ring(cluster, slice, dims, slice.offset);
   if (interconnect == Interconnect::kOptical) {
     // A single ring: the full chip bandwidth is redirected to it.
-    return build_pipeline_broadcast_schedule(ring.members, n, chunks,
-                                             params.chip_bandwidth, params.reconfig);
+    return lower_schedule(CollOp::kBroadcast, Algorithm::kPipeline, ring.members,
+                          params.chip_bandwidth,
+                          {.n = n, .reconfig = params.reconfig, .chunks = chunks});
   }
-  Schedule schedule = build_pipeline_broadcast_schedule(ring.members, n, chunks,
-                                                        Bandwidth::zero(), Duration::zero());
+  Schedule schedule = lower_schedule(CollOp::kBroadcast, Algorithm::kPipeline,
+                                     ring.members, Bandwidth::zero(),
+                                     {.n = n, .chunks = chunks});
   // Edge j carries members[j] -> members[j + 1], so its source names it.
   const auto routes = edge_routes(cluster, ring);
   for (Phase& phase : schedule.phases) {

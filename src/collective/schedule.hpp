@@ -41,7 +41,6 @@ struct Phase {
 struct Schedule {
   std::vector<Phase> phases;
 
-  [[nodiscard]] std::size_t transfer_count() const;
   [[nodiscard]] DataSize total_bytes() const;
 };
 
@@ -86,8 +85,8 @@ struct Schedule {
                                                  RedirectStrategy strategy =
                                                      RedirectStrategy::kStaticSplit);
 
-/// Pipelined ring broadcast from the slice's first chip: the pipeline
-/// broadcast (group_schedules.hpp) over a serpentine covering every chip,
+/// Pipelined ring broadcast from the slice's first chip: the lowering's
+/// pipeline broadcast (lowering.hpp) over a serpentine covering every chip,
 /// with `chunks` pieces: p-1+chunks-1 phases.  Optical transfers ride the
 /// full chip bandwidth behind one reconfiguration; electrical ones follow
 /// the serpentine's links.  Zero chunks yields an empty schedule.

@@ -7,28 +7,6 @@ namespace lp::core {
 
 BandwidthManager::BandwidthManager(PhotonicRack& rack) : rack_{rack} {}
 
-namespace {
-
-/// Rings realizing one plan stage (same lowering as the schedule builder).
-std::vector<coll::RingRealization> realize_stage(const topo::TpuCluster& cluster,
-                                                 const topo::Slice& slice,
-                                                 const coll::RingStage& stage) {
-  if (stage.snake) {
-    const topo::Shape& rack_shape = cluster.config().rack_shape;
-    const auto usable = coll::usable_dims(slice, rack_shape);
-    std::vector<std::size_t> snake_dims;
-    for (std::size_t d : coll::active_dims(slice)) {
-      if (std::find(usable.begin(), usable.end(), d) == usable.end())
-        snake_dims.push_back(d);
-    }
-    if (!usable.empty()) snake_dims.push_back(usable.front());
-    return coll::snake_rings(cluster, slice, snake_dims);
-  }
-  return coll::rings_in_dim(cluster, slice, static_cast<std::size_t>(stage.dim));
-}
-
-}  // namespace
-
 Result<StageCircuits> BandwidthManager::provision_stage(const topo::Slice& slice,
                                                         const coll::CollectivePlan& plan,
                                                         std::size_t stage_index,
@@ -51,7 +29,7 @@ Result<StageCircuits> BandwidthManager::provision_stage(const topo::Slice& slice
   stage.wavelengths = lambdas;
   stage.edge_rate = rack_.per_wavelength_rate() * static_cast<double>(lambdas);
 
-  const auto rings = realize_stage(cluster, slice, plan.stages[stage_index]);
+  const auto rings = coll::realize_stage(cluster, slice, plan.stages[stage_index]);
   const std::uint64_t mzis_before = rack_.fabric().reconfig().mzis_programmed();
   for (const auto& ring : rings) {
     for (std::size_t i = 0; i < ring.members.size(); ++i) {

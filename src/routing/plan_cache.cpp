@@ -224,10 +224,4 @@ void PlanCache::release_all(const PlanReport& report) {
   planner_.release_all(report);
 }
 
-void PlanCache::clear() {
-  entries_.clear();
-  routes_.clear();
-  entry_count_ = 0;
-}
-
 }  // namespace lp::routing

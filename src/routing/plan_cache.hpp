@@ -100,7 +100,6 @@ class PlanCache {
 
   [[nodiscard]] const PlanCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return entry_count_; }
-  void clear();
 
   /// Order-insensitive fingerprint of a demand multiset: commutative sum
   /// of per-demand splitmix-finalized hashes.  Collisions are tolerated —

@@ -205,9 +205,11 @@ struct BucketCosts {
   Duration steady{Duration::zero()};
 };
 
-/// Folds coll::all_reduce_phases(algo, m, n, reconfig) at `rate`, phase by
-/// phase in schedule order: what a TrainingRun charges per bucket.  Equal,
-/// bit for bit, to the same fold over the built schedule's transfers.
+/// Folds the lowered AllReduce phases of `algo` on `m` members (coll::lower)
+/// at `rate`, phase by phase in schedule order: what a TrainingRun charges
+/// per bucket.  Equal, bit for bit, to the same fold over the built
+/// schedule's transfers; zero for an algorithm no AllReduce row lowers.
+/// Allocates nothing.
 [[nodiscard]] BucketCosts all_reduce_bucket_costs(coll::Algorithm algo, std::size_t m,
                                                   DataSize n, Bandwidth rate,
                                                   Duration reconfig);

@@ -1,6 +1,7 @@
 #include "serve/serving_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <deque>
@@ -227,9 +228,9 @@ void ServingSim::admit(std::size_t r) {
       const DataSize bytes =
           params_.traffic.kv_bytes_per_token *
           static_cast<double>(q.prefill_tokens);
-      const coll::Decision pick = tuner_.pick(
-          coll::CollOp::kTransfer, bytes, {src.ids[0], rep.ids[0]}, tuner_rate_,
-          tuner_reconfig_, fab_.epoch());
+      const std::array<topo::TpuId, 2> pair{src.ids[0], rep.ids[0]};
+      const coll::Decision pick = tuner_.pick(coll::CollOp::kTransfer, bytes, pair,
+                                              tuner_rate_, tuner_reconfig_, fab_.epoch());
       const auto ways = static_cast<std::uint32_t>(
           std::min<std::size_t>(tuner_.params().stripe_ways,
                                 std::min(src.tiles.size(), rep.tiles.size())));

@@ -2,10 +2,14 @@
 // circuit takes a recycled slot whose hop vectors kept their capacity, and
 // its route is written into buffers that trade places with that slot's.
 //
+// The autotuner's pricing side allocates nothing either: it folds the
+// lowering's phases as they are made, and a cache hit reads the map.
+//
 // This binary replaces the global operator new and delete (plain, sized and
 // array forms) to count heap allocations, so it holds no other suite.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -14,10 +18,12 @@
 #include <utility>
 #include <vector>
 
+#include "collective/autotuner.hpp"
 #include "core/host_stack.hpp"
 #include "fault/gray.hpp"
 #include "lightpath/fabric.hpp"
 #include "runtime/fault_plane.hpp"
+#include "runtime/training_run.hpp"
 
 namespace {
 std::atomic<std::size_t> allocations{0};
@@ -167,6 +173,62 @@ TEST(ChurnAllocations, NaiveFlapAllocatesTheSameAtAnyClimbCount) {
   EXPECT_EQ(flap_allocations(3), one) << "4 climbs against 2";
   EXPECT_EQ(flap_allocations(9), one) << "10 climbs against 2";
   RecordProperty("allocations_per_flap", static_cast<int>(one));
+}
+
+const coll::CollOp kOps[] = {coll::CollOp::kReduceScatter, coll::CollOp::kAllGather,
+                             coll::CollOp::kAllReduce,     coll::CollOp::kBroadcast,
+                             coll::CollOp::kAllToAll,      coll::CollOp::kTransfer};
+
+// Every candidate of every op on the 56-member training ring, and the
+// runtime's bucket costs for every AllReduce candidate: no phase list is
+// materialized, so nothing is allocated.
+TEST(ChurnAllocations, TunerPredictionsAndBucketCostsAllocateNothing) {
+  const coll::Autotuner tuner;
+  const Bandwidth rate = Bandwidth::gBps(37.5);
+  const Duration reconfig = Duration::micros(3.7);
+  double sink = 0.0;
+  std::size_t candidates = 0;
+  const auto cycle = [&] {
+    for (const coll::CollOp op : kOps) {
+      for (const coll::Algorithm algo : coll::Autotuner::candidates(op)) {
+        sink += tuner.predict(op, algo, 56, DataSize::mib(64.0), rate, reconfig)
+                    .to_seconds();
+        ++candidates;
+      }
+    }
+    for (const coll::Algorithm algo :
+         coll::Autotuner::candidates(coll::CollOp::kAllReduce)) {
+      const runtime::BucketCosts costs =
+          runtime::all_reduce_bucket_costs(algo, 56, DataSize::mib(64.0), rate, reconfig);
+      sink += costs.first.to_seconds() + costs.steady.to_seconds();
+    }
+  };
+  EXPECT_EQ(allocations_over(kCycles, cycle), 0u);
+  EXPECT_EQ(candidates, std::size_t{13} * kCycles);
+  EXPECT_GT(sink, 0.0);
+}
+
+// A KV migration picks its transfer shape for the {src, dst} pair: on a
+// two-element array a cache hit allocates nothing.
+TEST(ChurnAllocations, CacheHitPickOnAPairAllocatesNothing) {
+  coll::Autotuner tuner;
+  const std::array<topo::TpuId, 2> pair{17, 1042};
+  const Bandwidth rate = Bandwidth::gbps(224.0 * 4.0);
+  const Duration reconfig = Duration::micros(3.7);
+  // The first pick misses and makes the cache entry.
+  EXPECT_FALSE(
+      tuner.pick(coll::CollOp::kTransfer, DataSize::mib(2.0), pair, rate, reconfig, 9)
+          .cache_hit);
+  int misses = 0;
+  const auto cycle = [&] {
+    if (!tuner.pick(coll::CollOp::kTransfer, DataSize::mib(2.0), pair, rate, reconfig, 9)
+             .cache_hit) {
+      ++misses;
+    }
+  };
+  EXPECT_EQ(allocations_over(kCycles, cycle), 0u);
+  EXPECT_EQ(misses, 0);
+  EXPECT_EQ(tuner.hits(), std::uint64_t{kCycles});
 }
 
 }  // namespace

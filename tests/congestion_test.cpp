@@ -171,14 +171,5 @@ TEST_F(PathSearch, PathNeverLeavesSourceRack) {
   for (TpuId hop : *path) EXPECT_EQ(cluster_.rack_of(hop), rack);
 }
 
-TEST_F(PathSearch, LinksOnChipPathHandlesWraparound) {
-  const std::vector<TpuId> path{cluster_.chip_at(0, Coord{{3, 0, 0}}),
-                                cluster_.chip_at(0, Coord{{0, 0, 0}})};
-  const auto links = links_on_chip_path(cluster_, path);
-  ASSERT_EQ(links.size(), 1u);
-  EXPECT_EQ(links[0].dim, 0);
-  EXPECT_EQ(links[0].sign, +1);
-}
-
 }  // namespace
 }  // namespace lp::coll

@@ -6,7 +6,7 @@
 #include <set>
 
 #include "collective/alltoall.hpp"
-#include "collective/group_schedules.hpp"
+#include "collective/autotuner.hpp"
 #include "collective/schedule.hpp"
 #include "phys/crosstalk.hpp"
 #include "phys/link_budget.hpp"
@@ -131,13 +131,28 @@ TEST_F(Schedules, BroadcastZeroChunksEmpty) {
 // --- Group schedules on non-power-of-two survivor sets -----------------------
 //
 // The autotuner's tree/halving candidates must stay correct on *whatever
-// chips survive* — the same contract build_elastic_ring_schedule honors.
-// These tests pin the phase structure and byte conservation on m = 7
-// (fold + power-of-two core) and on the degenerate 2- and 3-member groups
-// a badly shrunk ring can reach.
+// chips survive* — the same contract the elastic ring AllReduce honors.
+// These tests pin the phase structure and byte conservation of
+// Autotuner::build on m = 7 (fold + power-of-two core) and on the
+// degenerate 2- and 3-member groups a badly shrunk ring can reach.
 
 class GroupSchedules : public ::testing::Test {
  protected:
+  coll::Schedule build(coll::CollOp op, coll::Algorithm algo,
+                       const std::vector<topo::TpuId>& members) const {
+    return tuner_.build(op, algo, members, n_, rate_, r_);
+  }
+  coll::Schedule tree_broadcast(const std::vector<topo::TpuId>& members) const {
+    return build(coll::CollOp::kBroadcast, coll::Algorithm::kTree, members);
+  }
+  coll::Schedule halving_reduce_scatter(const std::vector<topo::TpuId>& members) const {
+    return build(coll::CollOp::kReduceScatter, coll::Algorithm::kHalvingDoubling, members);
+  }
+  coll::Schedule halving_doubling_all_reduce(
+      const std::vector<topo::TpuId>& members) const {
+    return build(coll::CollOp::kAllReduce, coll::Algorithm::kHalvingDoubling, members);
+  }
+
   static std::vector<topo::TpuId> survivors(std::size_t m) {
     // Deliberately non-contiguous ids: builders must index the member
     // list, never assume dense ranks.
@@ -159,6 +174,7 @@ class GroupSchedules : public ::testing::Test {
     }
   }
 
+  coll::Autotuner tuner_;
   Bandwidth rate_ = Bandwidth::gBps(37.5);  // 1-lambda elastic-bridge rate
   Duration r_ = Duration::micros(3.7);
   DataSize n_ = DataSize::mib(8);
@@ -166,7 +182,7 @@ class GroupSchedules : public ::testing::Test {
 
 TEST_F(GroupSchedules, TreeBroadcastNonPowerOfTwoStructure) {
   const auto members = survivors(7);
-  const auto s = coll::build_tree_broadcast_schedule(members, n_, rate_, r_);
+  const auto s = tree_broadcast(members);
   ASSERT_EQ(s.phases.size(), 3u);  // ceil(log2 7)
   // Informed set doubles (saturating): 1, 2, then 3 senders into the tail.
   EXPECT_EQ(s.phases[0].transfers.size(), 1u);
@@ -183,7 +199,7 @@ TEST_F(GroupSchedules, HalvingReduceScatterFoldsExtras) {
   // m = 7 = 2^2 + 3: one fold pre-phase (3 extras push full buffers onto
   // the core), then K = 2 exchange phases of n/2 and n/4.
   const auto members = survivors(7);
-  const auto s = coll::build_halving_reduce_scatter_schedule(members, n_, rate_, r_);
+  const auto s = halving_reduce_scatter(members);
   ASSERT_EQ(s.phases.size(), 3u);
   EXPECT_EQ(s.phases[0].transfers.size(), 3u);  // fold: the extras
   EXPECT_EQ(s.phases[1].transfers.size(), 4u);  // pairwise exchange on the core
@@ -202,10 +218,9 @@ TEST_F(GroupSchedules, AllReduceAlgorithmsConserveBytes) {
   for (const std::size_t m : {2u, 3u, 5u, 7u, 12u}) {
     const auto members = survivors(m);
     const double want = 2.0 * static_cast<double>(m - 1) * n_.to_bytes();
-    const auto ring = coll::build_elastic_ring_schedule(members, n_, rate_, r_);
-    const auto tree = coll::build_tree_all_reduce_schedule(members, n_, rate_, r_);
-    const auto hd =
-        coll::build_halving_doubling_all_reduce_schedule(members, n_, rate_, r_);
+    const auto ring = build(coll::CollOp::kAllReduce, coll::Algorithm::kRing, members);
+    const auto tree = build(coll::CollOp::kAllReduce, coll::Algorithm::kTree, members);
+    const auto hd = halving_doubling_all_reduce(members);
     EXPECT_NEAR(ring.total_bytes().to_bytes(), want, 1.0) << "ring m=" << m;
     EXPECT_NEAR(tree.total_bytes().to_bytes(), want, 1.0) << "tree m=" << m;
     EXPECT_NEAR(hd.total_bytes().to_bytes(), want, 1.0) << "hd m=" << m;
@@ -218,30 +233,28 @@ TEST_F(GroupSchedules, DegenerateTwoAndThreeMemberGroups) {
   // m = 2: no fold, a single pairwise exchange (halving) or a single
   // full-buffer send (tree).
   const auto two = survivors(2);
-  const auto rs2 = coll::build_halving_reduce_scatter_schedule(two, n_, rate_, r_);
+  const auto rs2 = halving_reduce_scatter(two);
   ASSERT_EQ(rs2.phases.size(), 1u);
   EXPECT_EQ(rs2.phases[0].transfers.size(), 2u);
   EXPECT_NEAR(rs2.total_bytes().to_bytes(), n_.to_bytes(), 1.0);
-  const auto bc2 = coll::build_tree_broadcast_schedule(two, n_, rate_, r_);
+  const auto bc2 = tree_broadcast(two);
   ASSERT_EQ(bc2.phases.size(), 1u);
   EXPECT_EQ(bc2.phases[0].transfers.size(), 1u);
 
   // m = 3 = 2^1 + 1: fold + one exchange phase.
   const auto three = survivors(3);
-  const auto rs3 = coll::build_halving_reduce_scatter_schedule(three, n_, rate_, r_);
+  const auto rs3 = halving_reduce_scatter(three);
   ASSERT_EQ(rs3.phases.size(), 2u);
   EXPECT_EQ(rs3.phases[0].transfers.size(), 1u);
   EXPECT_EQ(rs3.phases[1].transfers.size(), 2u);
   EXPECT_NEAR(rs3.total_bytes().to_bytes(), 2.0 * n_.to_bytes(), 1.0);
-  const auto ar3 = coll::build_halving_doubling_all_reduce_schedule(three, n_, rate_, r_);
+  const auto ar3 = halving_doubling_all_reduce(three);
   ASSERT_EQ(ar3.phases.size(), 4u);  // fold, exchange, exchange, unfold
   EXPECT_NEAR(ar3.total_bytes().to_bytes(), 4.0 * n_.to_bytes(), 1.0);
 
   // Fewer than two members: nothing to exchange.
-  EXPECT_TRUE(coll::build_tree_broadcast_schedule(survivors(1), n_, rate_, r_)
-                  .phases.empty());
-  EXPECT_TRUE(coll::build_halving_doubling_all_reduce_schedule(survivors(0), n_, rate_, r_)
-                  .phases.empty());
+  EXPECT_TRUE(tree_broadcast(survivors(1)).phases.empty());
+  EXPECT_TRUE(halving_doubling_all_reduce(survivors(0)).phases.empty());
 }
 
 TEST_F(GroupSchedules, GatherMirrorsScatterOnSurvivorSets) {
@@ -249,8 +262,9 @@ TEST_F(GroupSchedules, GatherMirrorsScatterOnSurvivorSets) {
   // same phase count, same total bytes, small shards first.
   for (const std::size_t m : {3u, 7u, 12u}) {
     const auto members = survivors(m);
-    const auto rs = coll::build_halving_reduce_scatter_schedule(members, n_, rate_, r_);
-    const auto ag = coll::build_doubling_all_gather_schedule(members, n_, rate_, r_);
+    const auto rs = halving_reduce_scatter(members);
+    const auto ag =
+        build(coll::CollOp::kAllGather, coll::Algorithm::kHalvingDoubling, members);
     EXPECT_EQ(ag.phases.size(), rs.phases.size()) << "m=" << m;
     EXPECT_NEAR(ag.total_bytes().to_bytes(), rs.total_bytes().to_bytes(), 1.0);
     ASSERT_FALSE(ag.phases.empty());
