@@ -142,6 +142,12 @@ class FaultSet {
   [[nodiscard]] Decibel waveguide_excess(fabric::GlobalTile t, fabric::Direction d) const;
   [[nodiscard]] std::uint32_t dead_lasers(fabric::GlobalTile t) const;
   [[nodiscard]] bool fiber_cut(std::size_t link_index) const;
+  /// Whether any fault sits on the hops of a light path: a stuck or
+  /// drifted switch, or waveguide excess.  Without one, mzi_stuck,
+  /// mzi_drift_excess and waveguide_excess answer false and zero everywhere.
+  [[nodiscard]] bool has_hop_faults() const {
+    return !stuck_.empty() || !drift_.empty() || !wg_excess_.empty();
+  }
 
   // --- side effects on the live fabric ---
   /// Applies the overlay: downs cut fiber links, quarantines the free lanes

@@ -30,21 +30,24 @@ CircuitDiagnosis HealthMonitor::diagnose(const fabric::Fabric& fab,
 
   // Walk the light path: every hop traverses the exit switch of the tile it
   // leaves and the entry switch of the tile it reaches, and rides the
-  // directed waveguide edge between them.
-  for (const auto& seg : c->segments) {
-    const fabric::Wafer& w = fab.wafer(seg.wafer);
-    fabric::TileId at = seg.from;
-    for (Direction d : seg.hops) {
-      const GlobalTile here{seg.wafer, at};
-      if (faults.mzi_stuck(here, d)) diag.hard_down = true;
-      diag.fault_excess += faults.mzi_drift_excess(here, d);
-      diag.fault_excess += faults.waveguide_excess(here, d);
-      const auto n = w.neighbor(at, d);
-      if (!n) break;  // malformed segment; nothing further to attribute
-      const GlobalTile there{seg.wafer, *n};
-      if (faults.mzi_stuck(there, opposite(d))) diag.hard_down = true;
-      diag.fault_excess += faults.mzi_drift_excess(there, opposite(d));
-      at = *n;
+  // directed waveguide edge between them.  With no per-hop fault struck,
+  // every hop's terms are false and zero: there is nothing to attribute.
+  if (faults.has_hop_faults()) {
+    for (const auto& seg : c->segments) {
+      const fabric::Wafer& w = fab.wafer(seg.wafer);
+      fabric::TileId at = seg.from;
+      for (Direction d : seg.hops) {
+        const GlobalTile here{seg.wafer, at};
+        if (faults.mzi_stuck(here, d)) diag.hard_down = true;
+        diag.fault_excess += faults.mzi_drift_excess(here, d);
+        diag.fault_excess += faults.waveguide_excess(here, d);
+        const auto n = w.neighbor(at, d);
+        if (!n) break;  // malformed segment; nothing further to attribute
+        const GlobalTile there{seg.wafer, *n};
+        if (faults.mzi_stuck(there, opposite(d))) diag.hard_down = true;
+        diag.fault_excess += faults.mzi_drift_excess(there, opposite(d));
+        at = *n;
+      }
     }
   }
   if (const auto link = fab.fiber_link_of(id); link && faults.fiber_cut(*link)) {
@@ -52,7 +55,7 @@ CircuitDiagnosis HealthMonitor::diagnose(const fabric::Fabric& fab,
   }
 
   // Re-close the budget at the faulted loss.
-  const phys::LinkBudget budget{fab.config().budget};
+  const phys::LinkBudget& budget = fab.link_budget();
   const phys::CircuitProfile profile = profile_of(*c, fab.config().wafer.tile);
   diag.budget = budget.evaluate_at_loss(budget.path_loss(profile) + diag.fault_excess,
                                         profile.mzi_traversals);

@@ -9,6 +9,7 @@ namespace lp::fabric {
 Fabric::Fabric(FabricConfig config)
     : config_{config},
       per_wavelength_rate_{phys::Modulator{config.modulator}.line_rate()},
+      link_budget_{config.budget},
       wafers_(config.wafer_count, Wafer{config.wafer}),
       reconfig_{config.reconfig} {}
 
@@ -102,7 +103,7 @@ Result<CircuitId> Fabric::connect(GlobalTile a, GlobalTile b, std::uint32_t wave
 }
 
 Result<CircuitId> Fabric::connect_via(GlobalTile a, GlobalTile b,
-                                      const std::vector<Direction>& hops,
+                                      std::span<const Direction> hops,
                                       std::uint32_t wavelengths) {
   if (wavelengths == 0) return Err("zero wavelengths requested");
   if (a.wafer != b.wafer) return Err("connect_via requires a same-wafer path");
@@ -244,8 +245,7 @@ Bandwidth Fabric::circuit_bandwidth(CircuitId id) const {
 phys::LinkBudgetReport Fabric::circuit_budget(CircuitId id) const {
   const Circuit* c = circuit(id);
   if (c == nullptr) return {};  // no circuit, no light: closes == false
-  const phys::LinkBudget budget{config_.budget};
-  return budget.evaluate(profile_of(*c, config_.wafer.tile));
+  return link_budget_.evaluate(profile_of(*c, config_.wafer.tile));
 }
 
 }  // namespace lp::fabric

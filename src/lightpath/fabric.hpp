@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lightpath/circuit.hpp"
@@ -94,7 +95,7 @@ class Fabric {
   /// the two tiles must differ, as for connect().  The circuit keeps its
   /// own copy of the hops.
   Result<CircuitId> connect_via(GlobalTile a, GlobalTile b,
-                                const std::vector<Direction>& hops,
+                                std::span<const Direction> hops,
                                 std::uint32_t wavelengths);
 
   /// Tear down a circuit and release all its resources.  Idempotent.
@@ -118,6 +119,10 @@ class Fabric {
   /// Physical-layer verdict for an established circuit; an unknown id gets
   /// a report that does not close.
   [[nodiscard]] phys::LinkBudgetReport circuit_budget(CircuitId id) const;
+
+  /// The link budget of config().budget, built once at construction: what
+  /// circuit_budget and the health monitor's diagnoses evaluate.
+  [[nodiscard]] const phys::LinkBudget& link_budget() const { return link_budget_; }
 
   /// Dimension-ordered route on one wafer: all column moves then row moves
   /// (XY), or the rows first when `rows_first` (YX).
@@ -196,6 +201,7 @@ class Fabric {
 
   FabricConfig config_;
   Bandwidth per_wavelength_rate_;
+  phys::LinkBudget link_budget_;
   std::vector<Wafer> wafers_;
   std::vector<FiberLink> fiber_links_;
   util::SlotTable<CircuitSlot> circuits_;

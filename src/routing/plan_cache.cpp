@@ -16,6 +16,13 @@ namespace {
   return fabric::splitmix64(h);
 }
 
+/// A view of a memoized route; nullopt for a memoized "no route".
+[[nodiscard]] std::optional<std::span<const fabric::Direction>> view_of(
+    const std::optional<std::vector<fabric::Direction>>& hops) {
+  if (!hops) return std::nullopt;
+  return std::span<const fabric::Direction>{*hops};
+}
+
 }  // namespace
 
 PlanCache::PlanCache(fabric::Fabric& fab, RouteOptions options, std::size_t max_entries)
@@ -38,7 +45,7 @@ void PlanCache::set_quarantine(QuarantinePredicate quarantine) {
 }
 
 bool PlanCache::path_quarantined(fabric::GlobalTile src,
-                                 const std::vector<fabric::Direction>& hops) const {
+                                 std::span<const fabric::Direction> hops) const {
   if (!quarantine_) return false;
   const fabric::Wafer& w = fabric_.wafer(src.wafer);
   fabric::TileId at = src.tile;
@@ -173,7 +180,8 @@ void PlanCache::evict_if_needed() {
   ++stats_.evictions;
 }
 
-std::optional<std::vector<fabric::Direction>> PlanCache::route_for(const Demand& demand) {
+std::optional<std::span<const fabric::Direction>> PlanCache::route_for(
+    const Demand& demand) {
   if (demand.src.wafer != demand.dst.wafer || !fabric_.contains(demand.src) ||
       !fabric_.contains(demand.dst)) {
     return std::nullopt;
@@ -194,7 +202,7 @@ std::optional<std::vector<fabric::Direction>> PlanCache::route_for(const Demand&
       }
       ++stats_.route_hits;
       e.last_use = ++use_clock_;
-      return e.hops;
+      return view_of(e.hops);
     }
   }
 
@@ -213,11 +221,11 @@ std::optional<std::vector<fabric::Direction>> PlanCache::route_for(const Demand&
   e.epoch = epoch;
   e.ledger_key = key;
   e.demand = demand;
-  e.hops = hops;
+  e.hops = std::move(hops);
   e.last_use = ++use_clock_;
   if (vec.size() >= 8) vec.erase(vec.begin());  // bounded per-key history
   vec.push_back(std::move(e));
-  return hops;
+  return view_of(vec.back().hops);
 }
 
 void PlanCache::release_all(const PlanReport& report) {

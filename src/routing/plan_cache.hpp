@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -83,8 +84,10 @@ class PlanCache {
   /// sequence find_route would produce right now, or nullopt if no route
   /// (or the demand is cross-wafer, which has no hop-path to memoize, or
   /// has an endpoint off the fabric).
-  /// Validated by the same epoch + ledger-key rule as full plans.
-  [[nodiscard]] std::optional<std::vector<fabric::Direction>> route_for(
+  /// Validated by the same epoch + ledger-key rule as full plans.  The hops
+  /// are a view of the memo entry, valid until the next call into the
+  /// cache, so a hit copies nothing.
+  [[nodiscard]] std::optional<std::span<const fabric::Direction>> route_for(
       const Demand& demand);
 
   /// True when the component (a tile's directed port) is quarantined by the
@@ -134,7 +137,7 @@ class PlanCache {
   /// Whether a same-wafer hop path touches any quarantined port (both the
   /// exit port of each tile left and the entry port of each tile reached).
   [[nodiscard]] bool path_quarantined(fabric::GlobalTile src,
-                                      const std::vector<fabric::Direction>& hops) const;
+                                      std::span<const fabric::Direction> hops) const;
   void remember(std::uint64_t fingerprint, std::uint64_t epoch, std::uint64_t ledger_key,
                 std::vector<Demand> ordered, const PlanReport& report);
   void evict_if_needed();

@@ -185,15 +185,15 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
     auto place = [&](std::uint32_t strategy) -> Result<fabric::CircuitId> {
       if (!same_wafer || strategy == 1) return fab.connect(src, dst, lambdas);
       // Route via the plan cache when one is wired in: repeated searches
-      // over an unchanged ledger reuse the memoized route.
-      std::optional<std::vector<fabric::Direction>> hops;
+      // over an unchanged ledger reuse the memoized route, read in place.
       if (options.cache != nullptr) {
-        hops = options.cache->route_for(Demand{src, dst, lambdas});
-      } else {
-        RouteOptions ro = options.route;
-        ro.lanes = lambdas;
-        hops = find_route(fab.wafer(src.wafer), src.tile, dst.tile, ro);
+        const auto hops = options.cache->route_for(Demand{src, dst, lambdas});
+        if (!hops) return Err("no feasible route");
+        return fab.connect_via(src, dst, *hops, lambdas);
       }
+      RouteOptions ro = options.route;
+      ro.lanes = lambdas;
+      const auto hops = find_route(fab.wafer(src.wafer), src.tile, dst.tile, ro);
       if (!hops) return Err("no feasible route");
       return fab.connect_via(src, dst, *hops, lambdas);
     };

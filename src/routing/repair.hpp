@@ -141,6 +141,8 @@ struct RetryBackoff {
   std::uint64_t seed{0};
 
   [[nodiscard]] Duration delay(std::uint64_t retry) const;
+
+  friend bool operator==(const RetryBackoff&, const RetryBackoff&) = default;
 };
 
 struct EscalationOptions {

@@ -47,18 +47,41 @@ routing::EscalationOptions FaultPlane::repair_options(std::uint32_t wavelengths)
   return opts;
 }
 
-std::optional<RecoveryResult> FaultPlane::flap(std::uint64_t key, Duration t,
-                                               fabric::CircuitId circuit,
-                                               const RecoveryPolicy& policy,
-                                               std::uint32_t wavelengths) {
-  now_ = t;
-  if (hysteresis_ && damper_.ride_out(key, t)) return std::nullopt;
+RecoveryResult FaultPlane::climb(fabric::CircuitId circuit, const RecoveryPolicy& policy,
+                                 std::uint32_t wavelengths) {
   routing::DegradedCircuit victim;
   victim.id = circuit;
   victim.hard_down = true;
   routing::EscalationOptions opts = repair_options(wavelengths);
   opts.transient_failure = [](routing::RepairRung, std::uint32_t) { return true; };
   return drive_recovery(fab_, victim, policy, opts);
+}
+
+std::optional<RecoveryResult> FaultPlane::flap(std::uint64_t key, Duration t,
+                                               fabric::CircuitId circuit,
+                                               const RecoveryPolicy& policy,
+                                               std::uint32_t wavelengths) {
+  now_ = t;
+  if (hysteresis_) {
+    // The climb's quarantine queries read now_ and advance the damper's
+    // records, so every climb runs live.
+    if (damper_.ride_out(key, t)) return std::nullopt;
+    return climb(circuit, policy, wavelengths);
+  }
+  const std::uint64_t ledger_key = fab_.ledger_key();
+  const std::uint64_t epoch = fab_.epoch();
+  if (last_flap_ && last_flap_->circuit == circuit && last_flap_->ledger_key == ledger_key &&
+      last_flap_->epoch == epoch && last_flap_->wavelengths == wavelengths &&
+      last_flap_->policy == policy) {
+    return last_flap_->result;
+  }
+  RecoveryResult res = climb(circuit, policy, wavelengths);
+  if (fab_.epoch() == epoch && fab_.ledger_key() == ledger_key) {
+    last_flap_ = FlapReplay{circuit, ledger_key, epoch, wavelengths, policy, res};
+  } else {
+    last_flap_.reset();
+  }
+  return res;
 }
 
 }  // namespace lp::runtime

@@ -12,6 +12,11 @@
 // The quarantine view is installed whenever hysteresis is on; with no flaps
 // the damper is empty and the view rejects nothing.  The cache's predicate
 // captures the plane, so a FaultPlane is neither copyable nor movable.
+//
+// With hysteresis off, a flap's climb commits nothing, and one over the
+// same victim, ledger, epoch, policy and width returns the same result, so
+// the plane replays the last such climb instead of running it again
+// (DESIGN §6).
 #pragma once
 
 #include <cstdint>
@@ -68,13 +73,33 @@ class FaultPlane {
   /// (FlapDamper::ride_out) returns nullopt.  Otherwise the controller
   /// repairs on the transition: the climb runs entirely inside the dip, so
   /// every programming attempt fails transiently, and the thrash is
-  /// returned for the caller to charge.
+  /// returned for the caller to charge.  Without hysteresis, a flap whose
+  /// circuit, Fabric::ledger_key(), epoch(), policy and wavelengths all
+  /// match the last climb's returns that climb's result and touches no
+  /// fabric state: it consumes no circuit id, programs no
+  /// ReconfigController batch and moves no PlanCache route stats.
   [[nodiscard]] std::optional<RecoveryResult> flap(std::uint64_t key, Duration t,
                                                    fabric::CircuitId circuit,
                                                    const RecoveryPolicy& policy,
                                                    std::uint32_t wavelengths);
 
  private:
+  /// A naive flap's inputs and the result of the climb they gave.
+  struct FlapReplay {
+    fabric::CircuitId circuit{0};
+    std::uint64_t ledger_key{0};
+    std::uint64_t epoch{0};
+    std::uint32_t wavelengths{0};
+    RecoveryPolicy policy{};
+    RecoveryResult result{};
+  };
+
+  /// The climb a flap that is not ridden out runs: the victim hard down,
+  /// every attempt failing transiently.
+  [[nodiscard]] RecoveryResult climb(fabric::CircuitId circuit,
+                                     const RecoveryPolicy& policy,
+                                     std::uint32_t wavelengths);
+
   fabric::Fabric& fab_;
   fault::HealthMonitor monitor_;
   /// Route memo for the repair ladder: a naive flap's recovery leaves the
@@ -87,6 +112,11 @@ class FaultPlane {
   fault::FlapDamper damper_;
   bool hysteresis_;
   Duration now_{Duration::zero()};
+  /// The last naive climb that left the ledger key and epoch as it found
+  /// them.  One record is enough: an episode's dips flap one circuit back
+  /// to back.  Never set with hysteresis on, where each climb's quarantine
+  /// queries depend on now_ and advance the damper.
+  std::optional<FlapReplay> last_flap_;
 };
 
 }  // namespace lp::runtime

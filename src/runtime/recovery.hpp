@@ -50,6 +50,8 @@ struct RecoveryPolicy {
   /// diagnosed detection_latency later.  Returns that absolute time,
   /// ceil(strike / hb) * hb + detection_latency.
   [[nodiscard]] Duration detected_at(Duration strike) const;
+
+  friend bool operator==(const RecoveryPolicy&, const RecoveryPolicy&) = default;
 };
 
 struct RecoveryResult {

@@ -75,6 +75,7 @@ void TrainingRun::establish_ring() {
                                config_.wavelengths);
     circuits_[e] = placed ? placed.value() : 0;
   }
+  ring_changed_ = true;
 }
 
 TrainingRun::BucketCollective TrainingRun::bucket_collective() const {
@@ -105,8 +106,8 @@ void TrainingRun::rebuild_costs() {
   // AllReduce at the surviving topology's rate; at the default 64 MiB
   // buckets the ring wins (bandwidth-bound), while small-bucket configs and
   // shrunk rings flip to log-depth schedules.  Decisions are memoized on
-  // (op, size bucket, member fingerprint, fabric epoch), so the post-fault
-  // rebuild re-decides only when the topology actually changed.
+  // (op, size bucket, member fingerprint, fabric epoch); run() calls this
+  // only once the ring or the epoch has moved, so each call meets a new key.
   const coll::Decision pick =
       tuner_.pick(coll::CollOp::kAllReduce, config_.iteration.bucket_bytes, c.members,
                   c.rate, c.reconfig, fab_.epoch());
@@ -114,6 +115,10 @@ void TrainingRun::rebuild_costs() {
   bucket_costs_ = all_reduce_bucket_costs(pick.algo, c.members.size(),
                                           config_.iteration.bucket_bytes, c.rate,
                                           c.reconfig);
+  timeline_ = core::overlap_buckets(config_.iteration, bucket_costs_.first,
+                                    bucket_costs_.steady);
+  costs_epoch_ = fab_.epoch();
+  ring_changed_ = false;
 }
 
 coll::Schedule TrainingRun::schedule() const {
@@ -136,6 +141,7 @@ std::vector<fabric::GlobalTile> TrainingRun::free_tiles() const {
 }
 
 Duration TrainingRun::shrink_ring(std::size_t i, RunReport& report) {
+  ring_changed_ = true;
   Duration dur = Duration::zero();
   const std::size_t n = members_.size();
   std::size_t pe = (i + n - 1) % n;
@@ -173,6 +179,7 @@ Duration TrainingRun::shrink_ring(std::size_t i, RunReport& report) {
 
 Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
                                           bool& removed, bool assume_dead) {
+  ring_changed_ = true;  // a respared member or a shrunk ring
   Duration dur = Duration::zero();
   const std::size_t n = members_.size();
   const std::size_t pe = (i + n - 1) % n;
@@ -323,7 +330,10 @@ TrainingRun::EventOutcome TrainingRun::recover_photonic(RunReport& report) {
       out.recovery += res.total();
       if (res.recovered) {
         ++report.recovered_by[routing::rung_index(res.rung)];
-        if (!res.circuits.empty()) circuits_[e] = res.circuits[0];
+        if (!res.circuits.empty()) {
+          circuits_[e] = res.circuits[0];
+          ring_changed_ = true;
+        }
       } else {
         out.recovery += shrink_ring(e, report);
         out.state_loss = true;
@@ -342,10 +352,8 @@ RunReport TrainingRun::run() {
 
   // Healthy baseline under this policy's own interconnect: the goodput
   // denominator, so the metric isolates availability, not raw bandwidth.
-  const auto healthy =
-      core::overlap_buckets(config_.iteration, bucket_costs_.first, bucket_costs_.steady);
   report.ideal_time =
-      healthy.report.iteration * static_cast<double>(config_.iterations);
+      timeline_.report.iteration * static_cast<double>(config_.iterations);
 
   // Fault arrivals: Poisson over the initial ring's chips, one serial
   // stream; fault contents come from a second stream so adding draws to one
@@ -382,9 +390,7 @@ RunReport TrainingRun::run() {
   std::uint32_t completed = 0;
 
   while (completed < config_.iterations && members_.size() >= 2) {
-    const auto timeline = core::overlap_buckets(config_.iteration, bucket_costs_.first,
-                                                bucket_costs_.steady);
-    const Duration iter_dur = timeline.report.iteration;
+    const Duration iter_dur = timeline_.report.iteration;
     const bool fault_pending = !scripted || script_idx < config_.script.size();
     const Duration t_fault =
         fault_pending ? std::max(next_fault, clock) : Duration::infinite();
@@ -407,7 +413,7 @@ RunReport TrainingRun::run() {
       ++report.flap_episodes;
       outcome = play_gray_episode(t_f, gray_stream, report);
     } else {
-      const bool mid_collective = timeline.collective_in_flight(offset);
+      const bool mid_collective = timeline_.collective_in_flight(offset);
       std::vector<fault::Fault> faults;
       if (scripted) {
         faults = config_.script[script_idx].faults;
@@ -472,7 +478,10 @@ RunReport TrainingRun::run() {
     }
     report.recover_seconds.push_back((resume - t_f).to_seconds());
 
-    if (config_.policy == RunPolicy::kPhotonicRepair) rebuild_costs();
+    if (config_.policy == RunPolicy::kPhotonicRepair &&
+        (ring_changed_ || fab_.epoch() != costs_epoch_)) {
+      rebuild_costs();
+    }
 
     if (gray_first) {
       next_gray = clock + Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec));

@@ -256,6 +256,8 @@ class TrainingRun {
 
   void establish_ring();
   [[nodiscard]] BucketCollective bucket_collective() const;
+  /// Re-picks the bucket AllReduce and re-derives its costs and the
+  /// iteration timeline from the live ring.
   void rebuild_costs();
   [[nodiscard]] std::vector<fabric::GlobalTile> free_tiles() const;
   EventOutcome recover_photonic(RunReport& report);
@@ -284,6 +286,15 @@ class TrainingRun {
   coll::Autotuner tuner_;
   coll::Algorithm bucket_algo_{coll::Algorithm::kRing};
   BucketCosts bucket_costs_;
+  /// One iteration at bucket_costs_.
+  core::IterationTimeline timeline_;
+  /// The fabric epoch of the last rebuild_costs, and whether the run has
+  /// rewritten its ring since.  The pick, the costs and the timeline read
+  /// only the config, the members and each ring circuit's bandwidth, which
+  /// move only with the ring or with a commit, and every commit moves the
+  /// epoch (DESIGN §7).
+  std::uint64_t costs_epoch_{0};
+  bool ring_changed_{false};
   /// Naive mode: dips observed per component, driving misclassification.
   std::map<std::uint64_t, std::uint32_t> dips_seen_;
 };

@@ -20,8 +20,11 @@
 
 #include "collective/autotuner.hpp"
 #include "core/host_stack.hpp"
+#include "fault/fault.hpp"
 #include "fault/gray.hpp"
+#include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
+#include "routing/plan_cache.hpp"
 #include "runtime/fault_plane.hpp"
 #include "runtime/training_run.hpp"
 
@@ -112,6 +115,35 @@ TEST(ChurnAllocations, ConnectViaAndDisconnectAllocateNothing) {
   EXPECT_EQ(fab.active_circuits(), 3u);
 }
 
+// The repair ladder's route memo: a hit returns a view of the memoized
+// hops, and connect_via copies them into the fabric's route buffer.
+TEST(ChurnAllocations, RouteForHitAllocatesNothing) {
+  Fabric fab = loaded_fabric();
+  routing::PlanCache cache{fab};
+  const Wafer& w = fab.wafer(0);
+  const routing::Demand d{{0, w.tile_at(TileCoord{2, 3})}, {0, w.tile_at(TileCoord{8, 9})}, 4};
+  ASSERT_TRUE(cache.route_for(d).has_value());  // the miss records the memo
+  int failures = 0;
+  const auto cycle = [&] {
+    const auto hops = cache.route_for(d);
+    if (!hops) {
+      ++failures;
+      return;
+    }
+    const Result<CircuitId> id = fab.connect_via(d.src, d.dst, *hops, d.wavelengths);
+    if (!id) {
+      ++failures;
+      return;
+    }
+    fab.disconnect(id.value());
+  };
+  for (int i = 0; i < 4; ++i) cycle();  // warm-up: the slot and buffers grow once
+  EXPECT_EQ(allocations_over(kCycles, cycle), 0u);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(cache.stats().route_hits, std::uint64_t{4 + kCycles});
+  EXPECT_EQ(cache.stats().route_misses, 1u);
+}
+
 // One source cycling through twice as many peers as its cache holds: every
 // send misses, and the source's Tx lambdas are all held by cached circuits,
 // so each send evicts.  The stack evicts before it connects instead of
@@ -148,12 +180,15 @@ TEST(ChurnAllocations, HostStackEvictionAllocatesNothing) {
 // every attempt fails transiently, so each climb leaves the ledger as it
 // found it.  The recovery probes each reroute strategy once and replays the
 // outcome on later retries and climbs: a flap allocates the same whatever
-// the number of climbs it runs.
+// the number of climbs it runs.  A second circuit's flap comes between the
+// warm-up and the measured flap and takes the plane's one replay record,
+// so the measured flap, which repeats the warm-up's inputs, climbs live.
 TEST(ChurnAllocations, NaiveFlapAllocatesTheSameAtAnyClimbCount) {
   const auto flap_allocations = [](std::uint32_t max_attempts) {
     Fabric fab;
     const Result<CircuitId> id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
-    EXPECT_TRUE(id.ok());
+    const Result<CircuitId> other = fab.connect(GlobalTile{0, 8}, GlobalTile{0, 11}, 2);
+    EXPECT_TRUE(id.ok() && other.ok());
     runtime::FaultPlane plane{fab, {}, {}, /*hysteresis=*/false};
     runtime::RecoveryPolicy policy;
     policy.initial_budget = Duration::zero();  // unbounded: every climb runs out of rungs
@@ -161,10 +196,16 @@ TEST(ChurnAllocations, NaiveFlapAllocatesTheSameAtAnyClimbCount) {
     const std::uint64_t key = fault::gray_component_key({0, 0}, Direction::kEast);
     // Warm-up: the plan cache's route memo and the circuit slots grow once.
     EXPECT_TRUE(plane.flap(key, Duration::zero(), id.value(), policy, 2).has_value());
+    EXPECT_TRUE(plane
+                    .flap(fault::gray_component_key({0, 8}, Direction::kEast),
+                          Duration::millis(0.5), other.value(), policy, 2)
+                    .has_value());
+    const std::uint64_t batches = fab.reconfig().batches();
     const std::size_t before = allocations.load();
     const std::optional<runtime::RecoveryResult> res =
         plane.flap(key, Duration::millis(1.0), id.value(), policy, 2);
     const std::size_t n = allocations.load() - before;
+    EXPECT_GT(fab.reconfig().batches(), batches) << "the measured flap climbs live";
     EXPECT_TRUE(res.has_value() && res->transient_failed);
     EXPECT_EQ(res.has_value() ? res->climbs : 0u, max_attempts + 1);
     return n;
@@ -173,6 +214,51 @@ TEST(ChurnAllocations, NaiveFlapAllocatesTheSameAtAnyClimbCount) {
   EXPECT_EQ(flap_allocations(3), one) << "4 climbs against 2";
   EXPECT_EQ(flap_allocations(9), one) << "10 climbs against 2";
   RecordProperty("allocations_per_flap", static_cast<int>(one));
+}
+
+// A repeated naive flap over an unchanged ledger returns the last climb's
+// result without climbing: it allocates nothing and programs no batch.
+TEST(ChurnAllocations, ReplayedNaiveFlapAllocatesNothing) {
+  Fabric fab;
+  const Result<CircuitId> id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
+  ASSERT_TRUE(id.ok());
+  runtime::FaultPlane plane{fab, {}, {}, /*hysteresis=*/false};
+  const runtime::RecoveryPolicy policy;
+  const std::uint64_t key = fault::gray_component_key({0, 0}, Direction::kEast);
+  ASSERT_TRUE(plane.flap(key, Duration::zero(), id.value(), policy, 2).has_value());
+  const std::uint64_t batches = fab.reconfig().batches();
+  double t_s = 0.0;
+  int failures = 0;
+  const auto flap = [&] {
+    t_s += 1e-3;
+    const std::optional<runtime::RecoveryResult> res =
+        plane.flap(key, Duration::seconds(t_s), id.value(), policy, 2);
+    if (!res || !res->transient_failed) ++failures;
+  };
+  EXPECT_EQ(allocations_over(kCycles, flap), 0u);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(fab.reconfig().batches(), batches) << "every measured flap replays";
+}
+
+// With no per-hop fault in the overlay, a diagnosis walks no light path and
+// re-closes the budget with the fabric's own LinkBudget.
+TEST(ChurnAllocations, FaultFreeDiagnoseAllocatesNothing) {
+  Fabric fab;
+  const Result<CircuitId> a = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 31}, 2);
+  const Result<CircuitId> b = fab.connect(GlobalTile{0, 8}, GlobalTile{0, 11}, 2);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const fault::HealthMonitor monitor;
+  const fault::FaultSet none;
+  int unhealthy = 0;
+  const auto diagnose = [&] {
+    for (const CircuitId id : {a.value(), b.value()}) {
+      if (monitor.diagnose(fab, none, id).health != fault::CircuitHealth::kHealthy) {
+        ++unhealthy;
+      }
+    }
+  };
+  EXPECT_EQ(allocations_over(kCycles, diagnose), 0u);
+  EXPECT_EQ(unhealthy, 0);
 }
 
 const coll::CollOp kOps[] = {coll::CollOp::kReduceScatter, coll::CollOp::kAllGather,

@@ -306,6 +306,32 @@ TEST(Health, LossDriftDegradesWhenTheBudgetStopsClosing) {
   EXPECT_FALSE(d.hard_down) << "light still arrives, just too faint";
 }
 
+// A drifted switch adds its excess once per traversal: as the exit switch
+// of the tile a hop leaves, and as the entry switch of the tile it reaches.
+TEST(Health, MziDriftAddsItsExcessPerTraversal) {
+  Fabric fab = two_wafer_fabric();
+  const auto id = fab.connect({0, 0}, {0, 3}, 2);  // XY: east, east, east
+  ASSERT_TRUE(id.ok());
+  const HealthMonitor monitor;
+
+  FaultSet exit_side;
+  exit_side.add({.kind = FaultKind::kMziDrift, .tile = {0, 1},
+                 .direction = Direction::kEast, .excess_loss = Decibel::db(0.25)});
+  const auto d = monitor.diagnose(fab, exit_side, id.value());
+  EXPECT_DOUBLE_EQ(d.fault_excess.value(), 0.25);
+  EXPECT_EQ(d.health, CircuitHealth::kHealthy) << "0.25 dB sits inside the margin";
+
+  FaultSet both_sides = exit_side;
+  both_sides.add({.kind = FaultKind::kMziDrift, .tile = {0, 2},
+                  .direction = Direction::kWest, .excess_loss = Decibel::db(0.25)});
+  EXPECT_DOUBLE_EQ(monitor.diagnose(fab, both_sides, id.value()).fault_excess.value(), 0.5);
+
+  FaultSet off_path;
+  off_path.add({.kind = FaultKind::kMziDrift, .tile = {0, 20},
+                .direction = Direction::kEast, .excess_loss = Decibel::db(0.25)});
+  EXPECT_EQ(monitor.diagnose(fab, off_path, id.value()).fault_excess, Decibel::zero());
+}
+
 TEST(Health, LaserLossAndEndpointDeathDiagnoses) {
   Fabric fab = two_wafer_fabric();
   const auto on_wafer = fab.connect({0, 0}, {0, 3}, 2);

@@ -305,7 +305,7 @@ TEST(Fabric, ConnectValidatesArguments) {
       EXPECT_FALSE(f->connect(GlobalTile{0, 1}, GlobalTile{far, bad}, 1).ok());
       EXPECT_FALSE(f->connect_via(GlobalTile{0, bad}, GlobalTile{0, 1}, {}, 1).ok());
       EXPECT_FALSE(f->connect_via(GlobalTile{0, 0}, GlobalTile{0, bad},
-                                  {Direction::kEast}, 1).ok());
+                                  std::vector{Direction::kEast}, 1).ok());
     }
     EXPECT_TRUE(f->contains(GlobalTile{f->wafer_count() - 1, 31}));
     EXPECT_FALSE(f->contains(GlobalTile{f->wafer_count(), 0}));
@@ -365,14 +365,16 @@ TEST(Fabric, ConnectViaValidatesPath) {
   Fabric fab;
   // Path not ending at destination.
   EXPECT_FALSE(
-      fab.connect_via(GlobalTile{0, 0}, GlobalTile{0, 2}, {Direction::kEast}, 1).ok());
+      fab.connect_via(GlobalTile{0, 0}, GlobalTile{0, 2}, std::vector{Direction::kEast}, 1)
+          .ok());
   // Path off the wafer.
   EXPECT_FALSE(
-      fab.connect_via(GlobalTile{0, 0}, GlobalTile{0, 1}, {Direction::kNorth}, 1).ok());
+      fab.connect_via(GlobalTile{0, 0}, GlobalTile{0, 1}, std::vector{Direction::kNorth}, 1)
+          .ok());
   // Valid L-shaped path.
   const auto id = fab.connect_via(
       GlobalTile{0, 0}, GlobalTile{0, 9},
-      {Direction::kSouth, Direction::kEast}, 2);
+      std::vector{Direction::kSouth, Direction::kEast}, 2);
   ASSERT_TRUE(id.ok()) << id.error().message;
   EXPECT_EQ(fab.circuit(id.value())->turn_count(), 1u);
 }
