@@ -1,6 +1,7 @@
 #include "cluster/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -414,8 +415,13 @@ Duration ClusterScheduler::price_recovery(fault::FaultKind flags_kind, bool fata
   routing::EscalationOptions opts;
   opts.wavelengths = 1;
   opts.cache = &cache_;
+  // The ladder views the spares; each draw advances the cursor, so they are
+  // drawn only for a dead source.
+  std::array<fabric::GlobalTile, 2> spares{};
   if (victim.src_dead) {
-    opts.spare_candidates = {cursor_tile(wafer), cursor_tile(wafer)};
+    spares[0] = cursor_tile(wafer);
+    spares[1] = cursor_tile(wafer);
+    opts.spare_candidates = spares;
   }
   const runtime::RecoveryResult res =
       drive_recovery(fab_, victim, params_.recovery, opts);

@@ -175,6 +175,11 @@ struct ComponentWorkspace {
   fabric::Fabric fab;
   fault::FaultInjector injector;
   fault::HealthMonitor monitor;
+  /// Tiles with no endpoint wavelength in use, refilled per victim
+  /// (routing::free_tiles): the spare candidates the ladder views.  Dead
+  /// chips are excluded automatically — the applied fault set parks their
+  /// endpoint wavelengths.
+  std::vector<fabric::GlobalTile> spares;
 
   explicit ComponentWorkspace(const ComponentStudyParams& p)
       : params{p},
@@ -205,22 +210,6 @@ struct ComponentWorkspace {
       (void)fab.connect({0, w.tile_at({row, w.cols() - 1})},
                         {1, w.tile_at({row, 0})}, kBaselineLambdas);
     }
-  }
-
-  /// Tiles with no endpoint wavelength in use: candidate spares.  Dead
-  /// chips are excluded automatically — the applied fault set parks their
-  /// endpoint wavelengths.
-  [[nodiscard]] std::vector<fabric::GlobalTile> free_tiles() const {
-    std::vector<fabric::GlobalTile> out;
-    for (fabric::WaferId wafer = 0; wafer < fab.wafer_count(); ++wafer) {
-      const auto& w = fab.wafer(wafer);
-      for (fabric::TileId t = 0; t < w.tile_count(); ++t) {
-        if (w.tile(t).tx_used() == 0 && w.tile(t).rx_used() == 0) {
-          out.push_back({wafer, t});
-        }
-      }
-    }
-    return out;
   }
 
   struct TrialResult {
@@ -258,7 +247,8 @@ struct ComponentWorkspace {
 
       routing::EscalationOptions opts;
       opts.retries_per_rung = params.retries_per_rung;
-      opts.spare_candidates = free_tiles();
+      routing::free_tiles(fab, spares);
+      opts.spare_candidates = spares;
       opts.electrical_feasible = rng.bernoulli(params.electrical_feasible_p);
       opts.validate = [this, &fs](const fabric::Fabric& f, fabric::CircuitId id) {
         return monitor.diagnose(f, fs, id).health == fault::CircuitHealth::kHealthy;

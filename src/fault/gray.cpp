@@ -29,11 +29,14 @@ double FlapTrace::down_seconds() const {
 }
 
 FlapTrace make_flap_trace(Rng& rng, const GrayModelParams& params) {
-  std::vector<double> toggles;
   const double down_rate = 1.0 / std::max(params.mean_down_seconds, 1e-9);
   const double up_rate = 1.0 / std::max(params.mean_up_seconds, 1e-9);
   double t = 0.0;
   const std::uint32_t cap = std::max<std::uint32_t>(params.max_dips, 1);
+  // Two toggles per dip, reserved once for up to kReservedDips dips: the
+  // cap is a caller's number, and a longer trace grows past the reserve.
+  std::vector<double> toggles;
+  toggles.reserve(2 * std::size_t{std::min(cap, kReservedDips)});
   for (std::uint32_t dip = 0; dip < cap; ++dip) {
     toggles.push_back(t);  // down-transition
     t += rng.exponential(down_rate);

@@ -90,10 +90,14 @@ class FlapTrace {
   std::vector<double> toggles_s_;
 };
 
+/// Dips make_flap_trace reserves room for up front (at most max_dips).
+inline constexpr std::uint32_t kReservedDips = 64;
+
 /// Draws one dip train from `rng` (dip/hold lengths, geometric dip count).
 /// Determinism: the trace is a pure function of the stream state, so a
 /// caller seeding Rng{task_seed(seed, episode)} gets the same trace on
-/// every worker.
+/// every worker.  Makes one heap allocation for a trace of up to
+/// min(max_dips, kReservedDips) dips.
 [[nodiscard]] FlapTrace make_flap_trace(Rng& rng, const GrayModelParams& params);
 
 /// One gray episode: a flapping component plus its riders.  The component

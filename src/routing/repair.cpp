@@ -14,39 +14,43 @@ namespace lp::routing {
 using fabric::Fabric;
 using fabric::GlobalTile;
 
-RepairPlan repair_with_spare(Fabric& fab, const RepairRequest& req,
-                             const RouteOptions& options) {
+namespace {
+
+/// The repair planner behind repair_with_spare and rung 3: wires `spare`
+/// to every neighbor in both directions at `wavelengths`, transactionally.
+RepairPlan plan_repair(Fabric& fab, GlobalTile spare, std::span<const GlobalTile> neighbors,
+                       std::uint32_t wavelengths, const RouteOptions& options) {
   RepairPlan plan;
   const auto on_fabric = [&](GlobalTile t) { return fab.contains(t); };
-  if (!on_fabric(req.spare) ||
-      !std::all_of(req.neighbors.begin(), req.neighbors.end(), on_fabric)) {
+  if (!on_fabric(spare) || !std::all_of(neighbors.begin(), neighbors.end(), on_fabric)) {
     return plan;  // incomplete, and nothing was touched
   }
+  plan.circuits.reserve(2 * neighbors.size());
   unsigned mzis = 0;
 
   auto establish = [&](GlobalTile from, GlobalTile to) -> bool {
     Result<fabric::CircuitId> placed = Err("unattempted");
     if (from.wafer == to.wafer) {
       RouteOptions opts = options;
-      opts.lanes = req.wavelengths;
+      opts.lanes = wavelengths;
       const auto hops = find_route(fab.wafer(from.wafer), from.tile, to.tile, opts);
       if (!hops) return false;
-      placed = fab.connect_via(from, to, *hops, req.wavelengths);
+      placed = fab.connect_via(from, to, *hops, wavelengths);
     } else {
-      placed = fab.connect(from, to, req.wavelengths);
+      placed = fab.connect(from, to, wavelengths);
     }
     if (!placed) return false;
     const fabric::Circuit* c = fab.circuit(placed.value());
     if (c != nullptr) {
       mzis += c->mzi_count;
-      if (c->fiber_hops > 0) plan.fibers_used += req.wavelengths;
+      if (c->fiber_hops > 0) plan.fibers_used += wavelengths;
     }
     plan.circuits.push_back(placed.value());
     return true;
   };
 
-  for (const GlobalTile& n : req.neighbors) {
-    if (!establish(n, req.spare) || !establish(req.spare, n)) {
+  for (const GlobalTile& n : neighbors) {
+    if (!establish(n, spare) || !establish(spare, n)) {
       for (fabric::CircuitId id : plan.circuits) fab.disconnect(id);
       plan.circuits.clear();
       plan.complete = false;
@@ -61,8 +65,6 @@ RepairPlan repair_with_spare(Fabric& fab, const RepairRequest& req,
   return plan;
 }
 
-namespace {
-
 /// One settle per failed optical probe: the controller programmed the
 /// attempt, observed it dark/degraded, and rolled it back.
 Duration probe_cost(const Fabric& fab) { return fab.reconfig().settle_latency(); }
@@ -75,6 +77,11 @@ bool accept(const EscalationOptions& options, const Fabric& fab,
 }
 
 }  // namespace
+
+RepairPlan repair_with_spare(Fabric& fab, const RepairRequest& req,
+                             const RouteOptions& options) {
+  return plan_repair(fab, req.spare, req.neighbors, req.wavelengths, options);
+}
 
 Duration RetryBackoff::delay(std::uint64_t retry) const {
   if (base <= Duration::zero() || retry == 0) return Duration::zero();
@@ -255,28 +262,31 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
   if (!options.spare_candidates.empty() && !(victim.src_dead && victim.dst_dead)) {
     const bool replace_src = victim.src_dead || victim.dead_lasers > 0;
     const GlobalTile anchor = replace_src ? dst : src;
-    std::vector<GlobalTile> candidates = options.spare_candidates;
+    const std::span<const GlobalTile> anchors{&anchor, 1};
+    // The caller's list, read in place until a spare is excluded.  The
+    // first exclusion copies it into `remaining`, which the loop then
+    // reads; `remaining` is empty only before that copy or once every
+    // spare is excluded, which ends the loop.
+    std::span<const GlobalTile> candidates = options.spare_candidates;
+    std::vector<GlobalTile> remaining;
     const Duration rung_start = out.latency;
     for (std::uint32_t r = 0; r < options.retries_per_rung && !candidates.empty();
          ++r) {
       if (exhausted()) return out;
       if (r > 0 && rung_expired(rung_start)) break;
-      const auto choice = choose_spare(fab, candidates, {anchor});
+      const auto choice = choose_spare(fab, candidates, anchors);
       if (!choice) break;
       if (r > 0) wait_before_retry(r);
       attempt(RepairRung::kRespare);
-      RepairRequest req;
-      req.spare = candidates[choice.value()];
-      req.neighbors = {anchor};
-      req.wavelengths = lambdas;
-      const RepairPlan plan = repair_with_spare(fab, req, options.route);
+      RepairPlan plan =
+          plan_repair(fab, candidates[choice.value()], anchors, lambdas, options.route);
       if (plan.complete) {
         bool ok = true;
         for (fabric::CircuitId id : plan.circuits) ok = ok && accept(options, fab, id);
         if (ok && !transient(RepairRung::kRespare)) {
           fab.disconnect(victim.id);
           out.latency += plan.reconfig_latency;
-          succeed(RepairRung::kRespare, plan.circuits);
+          succeed(RepairRung::kRespare, std::move(plan.circuits));
           return out;
         }
         for (fabric::CircuitId id : plan.circuits) fab.disconnect(id);
@@ -288,8 +298,9 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
         }
       }
       out.latency += probe_cost(fab);
-      candidates.erase(candidates.begin() +
-                       static_cast<std::ptrdiff_t>(choice.value()));
+      if (remaining.empty()) remaining.assign(candidates.begin(), candidates.end());
+      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(choice.value()));
+      candidates = remaining;
     }
   }
 
@@ -336,9 +347,8 @@ EscalationOutcome escalate_repair(Fabric& fab, const DegradedCircuit& victim,
   return out;
 }
 
-Result<std::size_t> choose_spare(const Fabric& fab,
-                                 const std::vector<GlobalTile>& candidates,
-                                 const std::vector<GlobalTile>& neighbors) {
+Result<std::size_t> choose_spare(const Fabric& fab, std::span<const GlobalTile> candidates,
+                                 std::span<const GlobalTile> neighbors) {
   auto fibers_needed = [&](const GlobalTile& spare) {
     std::uint32_t fibers = 0;
     for (const GlobalTile& n : neighbors) {
@@ -376,6 +386,16 @@ Result<std::size_t> choose_spare(const Fabric& fab,
   }
   if (!best) return Err("no spare candidate on the fabric");
   return *best;
+}
+
+void free_tiles(const Fabric& fab, std::vector<GlobalTile>& out) {
+  out.clear();
+  for (fabric::WaferId wafer = 0; wafer < fab.wafer_count(); ++wafer) {
+    const auto& w = fab.wafer(wafer);
+    for (fabric::TileId t = 0; t < w.tile_count(); ++t) {
+      if (w.tile(t).tx_used() == 0 && w.tile(t).rx_used() == 0) out.push_back({wafer, t});
+    }
+  }
 }
 
 }  // namespace lp::routing

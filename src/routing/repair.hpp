@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lightpath/fabric.hpp"
@@ -59,9 +60,15 @@ struct RepairPlan {
 /// an exact tie).  Candidates off the fabric are never picked.  Returns
 /// the index into `candidates`, or an error if no candidate is on the
 /// fabric.
-[[nodiscard]] Result<std::size_t> choose_spare(const fabric::Fabric& fab,
-                                               const std::vector<fabric::GlobalTile>& candidates,
-                                               const std::vector<fabric::GlobalTile>& neighbors);
+[[nodiscard]] Result<std::size_t> choose_spare(
+    const fabric::Fabric& fab, std::span<const fabric::GlobalTile> candidates,
+    std::span<const fabric::GlobalTile> neighbors);
+
+/// Refills `out` with every tile that has no endpoint wavelength in use,
+/// wafer by wafer in tile order: the spare candidates of a fabric.  A dead
+/// chip is never among them while an applied fault set parks its endpoint
+/// wavelengths.  Reuses `out`'s capacity.
+void free_tiles(const fabric::Fabric& fab, std::vector<fabric::GlobalTile>& out);
 
 // ---------------------------------------------------------------------------
 // Graceful-degradation repair ladder.
@@ -160,8 +167,11 @@ struct EscalationOptions {
   /// Wavelengths for replacement circuits; 0 inherits the victim's count.
   std::uint32_t wavelengths{0};
   RouteOptions route{};
-  /// Spare tiles rung 3 may re-plan onto (choose_spare order).
-  std::vector<fabric::GlobalTile> spare_candidates;
+  /// Spare tiles rung 3 may re-plan onto (choose_spare order).  A view:
+  /// like `cache` it is not owned, and the list must outlive every climb
+  /// that reads it.  Rung 3 reads it in place and copies it only to
+  /// exclude a spare.
+  std::span<const fabric::GlobalTile> spare_candidates;
   /// Whether the electrical torus has a congestion-free detour available
   /// (rung 4); the caller decides, e.g. via attempt_electrical_repair.
   bool electrical_feasible{false};

@@ -1,6 +1,7 @@
 #include "runtime/recovery.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/parallel.hpp"
 
@@ -14,15 +15,18 @@ Duration RecoveryPolicy::detected_at(Duration strike) const {
 RecoveryResult drive_recovery(fabric::Fabric& fab,
                               const routing::DegradedCircuit& victim,
                               const RecoveryPolicy& policy,
-                              routing::EscalationOptions base) {
+                              const routing::EscalationOptions& base) {
   RecoveryResult res;
-  base.retries_per_rung = policy.retries_per_rung;
+  // One copy for every climb: each climb rewrites only its budget and
+  // backoff below.
+  routing::EscalationOptions opts = base;
+  opts.retries_per_rung = policy.retries_per_rung;
   // Strictly optical: rung 4 never succeeds and rung 5 is a free sentinel —
   // landing there means "out of optical ideas", and the caller owns what
   // that costs (elastic shrink or a migration charge).
-  base.electrical_feasible = false;
-  base.migration_latency = Duration::zero();
-  base.rung_timeout = policy.rung_timeout;
+  opts.electrical_feasible = false;
+  opts.migration_latency = Duration::zero();
+  opts.rung_timeout = policy.rung_timeout;
 
   // Climbs that end unrecovered leave the ledger as they found it, so one
   // memo lets rung 2 probe each strategy once for the whole recovery.
@@ -30,14 +34,13 @@ RecoveryResult drive_recovery(fabric::Fabric& fab,
   Duration budget = policy.initial_budget;
   Duration backoff = policy.backoff_base;
   for (std::uint32_t attempt = 0; attempt <= policy.max_attempts; ++attempt) {
-    routing::EscalationOptions opts = base;
     // The last climb is unbounded so the loop always settles the victim.
     opts.budget = attempt == policy.max_attempts ? Duration::zero() : budget;
     opts.backoff = policy.rung_backoff;
     // Distinct jitter stream per climb: retries of climb N never reuse the
     // waits of climb N-1, yet every rerun charges the same waits.
     opts.backoff.seed = util::task_seed(policy.rung_backoff.seed, attempt);
-    const routing::EscalationOutcome out = routing::escalate_repair(fab, victim, opts, memo);
+    routing::EscalationOutcome out = routing::escalate_repair(fab, victim, opts, memo);
     ++res.climbs;
     for (std::size_t k = 0; k < routing::kRepairRungCount; ++k) {
       res.rung_attempts[k] += out.attempts[k];
@@ -50,7 +53,7 @@ RecoveryResult drive_recovery(fabric::Fabric& fab,
         res.fell_through = true;
       } else {
         res.recovered = true;
-        res.circuits = out.circuits;
+        res.circuits = std::move(out.circuits);
       }
       return res;
     }

@@ -95,11 +95,12 @@ struct RecoveryResult {
 /// RerouteMemo replays rung 2's probes across the climbs, and their wall
 /// clock is charged as if re-probed).  After max_attempts bounded climbs one
 /// unbounded climb settles the matter.  `base` carries the caller's route
-/// options, spare candidates, and validate hook; its budget, retries, and
-/// electrical/migration knobs are overwritten here.
+/// options, spare candidates, and validate hook; the driver copies it once
+/// and overwrites its budget, retries, backoff, and electrical/migration
+/// knobs.  The spare list `base` views must outlive the call.
 [[nodiscard]] RecoveryResult drive_recovery(fabric::Fabric& fab,
                                             const routing::DegradedCircuit& victim,
                                             const RecoveryPolicy& policy,
-                                            routing::EscalationOptions base = {});
+                                            const routing::EscalationOptions& base = {});
 
 }  // namespace lp::runtime

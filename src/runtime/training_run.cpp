@@ -78,8 +78,15 @@ void TrainingRun::establish_ring() {
   ring_changed_ = true;
 }
 
+bool TrainingRun::BucketCollective::same_as(const BucketCollective& o) const {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return members == o.members && bits(rate.to_bps()) == bits(o.rate.to_bps()) &&
+         bits(reconfig.to_seconds()) == bits(o.reconfig.to_seconds());
+}
+
 TrainingRun::BucketCollective TrainingRun::bucket_collective() const {
   BucketCollective c;
+  c.members = members_.size();
   if (config_.policy == RunPolicy::kPhotonicRepair) {
     // The ring runs at its slowest edge (a 1-lambda elastic bridge drags
     // every step down — the price of staying alive).
@@ -92,52 +99,49 @@ TrainingRun::BucketCollective TrainingRun::bucket_collective() const {
   } else {
     c.rate = config_.cost.chip_bandwidth / static_cast<double>(config_.cost.total_dims);
   }
-  const std::uint32_t tiles = fab_.wafer(0).tile_count();
-  c.members.reserve(members_.size());
-  for (const fabric::GlobalTile& m : members_) {
-    c.members.push_back(static_cast<topo::TpuId>(m.wafer * tiles + m.tile));
-  }
   return c;
+}
+
+std::vector<topo::TpuId> TrainingRun::member_ids() const {
+  const std::uint32_t tiles = fab_.wafer(0).tile_count();
+  std::vector<topo::TpuId> ids;
+  ids.reserve(members_.size());
+  for (const fabric::GlobalTile& m : members_) {
+    ids.push_back(static_cast<topo::TpuId>(m.wafer * tiles + m.tile));
+  }
+  return ids;
 }
 
 void TrainingRun::rebuild_costs() {
   const BucketCollective c = bucket_collective();
+  costs_epoch_ = fab_.epoch();
+  ring_changed_ = false;
+  // The pick, the costs and the timeline are pure functions of these
+  // inputs and the config: a respare that keeps the member count and every
+  // ring width would re-derive exactly what the run holds (DESIGN §7).
+  if (costs_inputs_ && c.same_as(*costs_inputs_)) return;
+  costs_inputs_ = c;
   // The autotuner races ring vs tree vs halving-doubling for the bucket
   // AllReduce at the surviving topology's rate; at the default 64 MiB
   // buckets the ring wins (bandwidth-bound), while small-bucket configs and
   // shrunk rings flip to log-depth schedules.  Decisions are memoized on
-  // (op, size bucket, member fingerprint, fabric epoch); run() calls this
-  // only once the ring or the epoch has moved, so each call meets a new key.
+  // (op, size bucket, member fingerprint, fabric epoch); a derivation runs
+  // only on new inputs, so each one meets a new key.
   const coll::Decision pick =
-      tuner_.pick(coll::CollOp::kAllReduce, config_.iteration.bucket_bytes, c.members,
+      tuner_.pick(coll::CollOp::kAllReduce, config_.iteration.bucket_bytes, member_ids(),
                   c.rate, c.reconfig, fab_.epoch());
   bucket_algo_ = pick.algo;
-  bucket_costs_ = all_reduce_bucket_costs(pick.algo, c.members.size(),
+  bucket_costs_ = all_reduce_bucket_costs(pick.algo, c.members,
                                           config_.iteration.bucket_bytes, c.rate,
                                           c.reconfig);
   timeline_ = core::overlap_buckets(config_.iteration, bucket_costs_.first,
                                     bucket_costs_.steady);
-  costs_epoch_ = fab_.epoch();
-  ring_changed_ = false;
 }
 
 coll::Schedule TrainingRun::schedule() const {
   const BucketCollective c = bucket_collective();
-  return tuner_.build(coll::CollOp::kAllReduce, bucket_algo_, c.members,
+  return tuner_.build(coll::CollOp::kAllReduce, bucket_algo_, member_ids(),
                       config_.iteration.bucket_bytes, c.rate, c.reconfig);
-}
-
-std::vector<fabric::GlobalTile> TrainingRun::free_tiles() const {
-  std::vector<fabric::GlobalTile> out;
-  for (fabric::WaferId wafer = 0; wafer < fab_.wafer_count(); ++wafer) {
-    const auto& w = fab_.wafer(wafer);
-    for (fabric::TileId t = 0; t < w.tile_count(); ++t) {
-      if (w.tile(t).tx_used() == 0 && w.tile(t).rx_used() == 0) {
-        out.push_back({wafer, t});
-      }
-    }
-  }
-  return out;
 }
 
 Duration TrainingRun::shrink_ring(std::size_t i, RunReport& report) {
@@ -189,7 +193,8 @@ Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
   // The in-edge (prev -> dead) picks the spare: respare re-anchors it as
   // prev -> spare (plus the reverse circuit, which the ring does not use).
   routing::EscalationOptions opts = plane_.repair_options(config_.wavelengths);
-  opts.spare_candidates = free_tiles();
+  routing::free_tiles(fab_, spares_);
+  opts.spare_candidates = spares_;
   routing::DegradedCircuit victim_in = fault::to_degraded(plane_.diagnose(in_id));
   // Misclassification path: the diagnosis is healthy (the member only
   // flaps), but the controller has decided it is dead — force the flags so
@@ -208,7 +213,7 @@ Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
 
     // The out-edge (dead -> next) must land on the same spare.
     routing::EscalationOptions opts_out = plane_.repair_options(config_.wavelengths);
-    opts_out.spare_candidates = {spare};
+    opts_out.spare_candidates = {&spare, 1};
     routing::DegradedCircuit victim_out = fault::to_degraded(plane_.diagnose(out_id));
     if (assume_dead) victim_out.src_dead = true;
     const RecoveryResult res_out =

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "collective/autotuner.hpp"
@@ -247,19 +248,26 @@ class TrainingRun {
     bool state_loss{false};
   };
 
-  /// The bucket AllReduce's inputs on the live ring.
+  /// What the bucket pick, its costs and the timeline read of the live
+  /// ring besides the config: the member count, the ring rate (its slowest
+  /// circuit under kPhotonicRepair) and the reconfiguration delay.
   struct BucketCollective {
-    std::vector<topo::TpuId> members;
+    std::size_t members{0};
     Bandwidth rate;
     Duration reconfig{Duration::zero()};
+
+    /// Equal inputs, the rate and the delay compared bit for bit.
+    [[nodiscard]] bool same_as(const BucketCollective& o) const;
   };
 
   void establish_ring();
   [[nodiscard]] BucketCollective bucket_collective() const;
+  /// The live members as collective ids (wafer-major tile numbering).
+  [[nodiscard]] std::vector<topo::TpuId> member_ids() const;
   /// Re-picks the bucket AllReduce and re-derives its costs and the
-  /// iteration timeline from the live ring.
+  /// iteration timeline from the live ring, unless its inputs equal the
+  /// last derivation's.
   void rebuild_costs();
-  [[nodiscard]] std::vector<fabric::GlobalTile> free_tiles() const;
   EventOutcome recover_photonic(RunReport& report);
   /// `assume_dead` forces the dead-endpoint flags onto the victim edges even
   /// though the diagnosis is healthy — the naive controller misclassifying a
@@ -280,21 +288,26 @@ class TrainingRun {
   /// members_[e] -> members_[(e+1) % n] is circuits_[e].
   std::vector<fabric::GlobalTile> members_;
   std::vector<fabric::CircuitId> circuits_;
-  /// Picks the bucket-AllReduce schedule on every topology change: ring vs
-  /// tree vs halving-doubling, re-decided as the surviving member set and
-  /// circuit rates degrade (the fabric epoch keys its decision cache).
+  /// Picks the bucket-AllReduce schedule whenever the derivation inputs
+  /// move: ring vs tree vs halving-doubling, re-decided as the member count
+  /// and the ring rate degrade (the fabric epoch keys its decision cache).
   coll::Autotuner tuner_;
   coll::Algorithm bucket_algo_{coll::Algorithm::kRing};
   BucketCosts bucket_costs_;
   /// One iteration at bucket_costs_.
   core::IterationTimeline timeline_;
+  /// The inputs of the last derivation; empty before the first.
+  std::optional<BucketCollective> costs_inputs_;
   /// The fabric epoch of the last rebuild_costs, and whether the run has
-  /// rewritten its ring since.  The pick, the costs and the timeline read
-  /// only the config, the members and each ring circuit's bandwidth, which
+  /// rewritten its ring since: run() checks the inputs only when one moved.
+  /// The inputs read the members and each ring circuit's bandwidth, which
   /// move only with the ring or with a commit, and every commit moves the
   /// epoch (DESIGN §7).
   std::uint64_t costs_epoch_{0};
   bool ring_changed_{false};
+  /// Spare candidates for a dead member's in-edge respare, refilled per
+  /// recovery (routing::free_tiles); the ladder reads them in place.
+  std::vector<fabric::GlobalTile> spares_;
   /// Naive mode: dips observed per component, driving misclassification.
   std::map<std::uint64_t, std::uint32_t> dips_seen_;
 };

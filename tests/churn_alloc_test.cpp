@@ -5,6 +5,9 @@
 // The autotuner's pricing side allocates nothing either: it folds the
 // lowering's phases as they are made, and a cache hit reads the map.
 //
+// The respare path and the training run are held at ceilings: each test
+// prints its count and fails if a change allocates more.
+//
 // This binary replaces the global operator new and delete (plain, sized and
 // array forms) to count heap allocations, so it holds no other suite.
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <optional>
@@ -25,8 +29,11 @@
 #include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
 #include "routing/plan_cache.hpp"
+#include "routing/repair.hpp"
 #include "runtime/fault_plane.hpp"
+#include "runtime/recovery.hpp"
 #include "runtime/training_run.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::size_t> allocations{0};
@@ -259,6 +266,105 @@ TEST(ChurnAllocations, FaultFreeDiagnoseAllocatesNothing) {
   };
   EXPECT_EQ(allocations_over(kCycles, diagnose), 0u);
   EXPECT_EQ(unhealthy, 0);
+}
+
+// A dead destination's respare: rung 3 reads the caller's spares in place,
+// plans through one reserved circuit vector and moves it into the result.
+// What is left is that vector and the two routes find_route returns.
+TEST(ChurnAllocations, RespareClimbReadsItsSparesInPlace) {
+  Fabric fab;
+  const GlobalTile src{0, 0};
+  const GlobalTile dst{0, 3};
+  const std::array<GlobalTile, 4> spares{GlobalTile{0, 31}, GlobalTile{0, 12},
+                                         GlobalTile{0, 20}, GlobalTile{0, 28}};
+  routing::EscalationOptions opts;
+  opts.spare_candidates = spares;
+  const runtime::RecoveryPolicy policy;
+  const auto respare = [&] {
+    const Result<CircuitId> id = fab.connect(src, dst, 2);
+    EXPECT_TRUE(id.ok());
+    routing::DegradedCircuit victim;
+    victim.id = id.value();
+    victim.dst_dead = true;
+    const std::size_t before = allocations.load();
+    runtime::RecoveryResult res = runtime::drive_recovery(fab, victim, policy, opts);
+    const std::size_t n = allocations.load() - before;
+    EXPECT_TRUE(res.recovered);
+    EXPECT_EQ(res.rung, routing::RepairRung::kRespare);
+    EXPECT_EQ(res.climbs, 1u);
+    EXPECT_EQ(res.circuits.size(), 2u);
+    if (!res.circuits.empty()) {
+      EXPECT_EQ(fab.circuit(res.circuits[0])->dst, (GlobalTile{0, 12}))
+          << "the spare nearest the anchor";
+    }
+    for (const CircuitId c : res.circuits) fab.disconnect(c);
+    return n;
+  };
+  (void)respare();  // warm-up: the circuit slots and hop buffers grow once
+  const std::size_t n = respare();
+  std::printf("respare climb: %zu allocations\n", n);
+  EXPECT_LE(n, 3u);
+}
+
+// 200 iterations of lpbench's train_gray controller at seed 1 on each arm,
+// counted over run() alone (construction is lpbench's setup).
+runtime::RunConfig gray_run_config(bool hysteresis) {
+  runtime::RunConfig c;
+  c.iterations = 200;
+  c.seed = 1;
+  c.mtbf_hours = 1e9;
+  c.flap_rate_per_hour = 400.0;
+  c.recovery.rung_backoff.base = Duration::micros(50.0);
+  c.recovery.rung_backoff.jitter_fraction = 0.5;
+  c.gray_hysteresis = hysteresis;
+  return c;
+}
+
+std::size_t gray_run_allocations(bool hysteresis, runtime::RunReport& report) {
+  runtime::TrainingRun run{gray_run_config(hysteresis)};
+  const std::size_t before = allocations.load();
+  report = run.run();
+  return allocations.load() - before;
+}
+
+TEST(ChurnAllocations, NaiveGrayRunStaysUnderItsCeiling) {
+  runtime::RunReport r;
+  const std::size_t n = gray_run_allocations(/*hysteresis=*/false, r);
+  std::printf("naive 200-iteration run: %zu allocations, %llu misclassifications\n", n,
+              static_cast<unsigned long long>(r.misclassifications));
+  EXPECT_EQ(r.iterations_completed, 200u);
+  EXPECT_GT(r.misclassifications, 0u);
+  EXPECT_LE(n, std::size_t{2110});
+}
+
+TEST(ChurnAllocations, HysteresisGrayRunStaysUnderItsCeiling) {
+  runtime::RunReport r;
+  const std::size_t n = gray_run_allocations(/*hysteresis=*/true, r);
+  std::printf("hysteresis 200-iteration run: %zu allocations, %llu flap episodes\n", n,
+              static_cast<unsigned long long>(r.flap_episodes));
+  EXPECT_EQ(r.iterations_completed, 200u);
+  EXPECT_GT(r.quarantines, 0u);
+  EXPECT_LE(n, std::size_t{381});
+}
+
+// A flap trace reserves its toggles once: one allocation, the vector that
+// moves into the FlapTrace, for traces up to the cap's full length.
+TEST(ChurnAllocations, FlapTraceAllocatesOnce) {
+  fault::GrayModelParams long_traces;
+  long_traces.max_dips = fault::kReservedDips;
+  long_traces.continue_probability = 0.97;
+  std::size_t at_cap = 0;
+  for (const fault::GrayModelParams& params : {fault::GrayModelParams{}, long_traces}) {
+    for (std::uint64_t seed = 0; seed < 500; ++seed) {
+      Rng rng{seed};
+      const std::size_t before = allocations.load();
+      const fault::FlapTrace trace = fault::make_flap_trace(rng, params);
+      EXPECT_EQ(allocations.load() - before, 1u) << "seed " << seed;
+      ASSERT_LE(trace.dips(), params.max_dips);
+      if (trace.dips() == params.max_dips) ++at_cap;
+    }
+  }
+  EXPECT_GT(at_cap, 0u) << "some trace runs to the cap";
 }
 
 const coll::CollOp kOps[] = {coll::CollOp::kReduceScatter, coll::CollOp::kAllGather,

@@ -297,7 +297,8 @@ TEST(Repair, ChooseSparePrefersSameWafer) {
 
 TEST(Repair, ChooseSpareEmptyFails) {
   Fabric fab;
-  EXPECT_FALSE(choose_spare(fab, {}, {GlobalTile{0, 1}}).ok());
+  const std::vector<GlobalTile> neighbors{GlobalTile{0, 1}};
+  EXPECT_FALSE(choose_spare(fab, {}, neighbors).ok());
 }
 
 TEST(Repair, ChooseSpareManhattanBreaksFiberTies) {
@@ -377,14 +378,17 @@ TEST(Repair, TilesOffTheFabricLeaveTheFabricUntouched) {
 
 TEST(Repair, ChooseSpareNeverPicksACandidateOffTheFabric) {
   Fabric fab;
-  EXPECT_FALSE(choose_spare(fab, {GlobalTile{5, 0}}, {GlobalTile{5, 1}}).ok());
-  EXPECT_FALSE(
-      choose_spare(fab, {GlobalTile{5, 0}, GlobalTile{0, 40}}, {GlobalTile{0, 1}}).ok());
+  const std::vector<GlobalTile> off_wafer{GlobalTile{5, 0}};
+  const std::vector<GlobalTile> off_wafer_neighbor{GlobalTile{5, 1}};
+  EXPECT_FALSE(choose_spare(fab, off_wafer, off_wafer_neighbor).ok());
+  const std::vector<GlobalTile> off_fabric{GlobalTile{5, 0}, GlobalTile{0, 40}};
+  const std::vector<GlobalTile> neighbor{GlobalTile{0, 1}};
+  EXPECT_FALSE(choose_spare(fab, off_fabric, neighbor).ok());
   // Tile 33 would sit 4 hops from tile 1 and tile 20 sits 5 away, so only
   // the check keeps the off-wafer tile from winning.
-  const auto choice = choose_spare(
-      fab, {GlobalTile{5, 0}, GlobalTile{0, 33}, GlobalTile{0, 20}, GlobalTile{1, 0}},
-      {GlobalTile{0, 1}});
+  const std::vector<GlobalTile> candidates{GlobalTile{5, 0}, GlobalTile{0, 33},
+                                           GlobalTile{0, 20}, GlobalTile{1, 0}};
+  const auto choice = choose_spare(fab, candidates, neighbor);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(choice.value(), 2u);
 }
@@ -443,7 +447,8 @@ TEST(Escalate, RespareReplacesDeadEndpoint) {
   victim.id = id.value();
   victim.dst_dead = true;  // reroute cannot help; endpoint must move
   EscalationOptions opts;
-  opts.spare_candidates = {GlobalTile{0, 11}};
+  const std::vector<GlobalTile> spares{GlobalTile{0, 11}};
+  opts.spare_candidates = spares;
   const auto out = escalate_repair(fab, victim, opts);
   EXPECT_TRUE(out.recovered);
   EXPECT_EQ(out.rung, RepairRung::kRespare);
@@ -454,6 +459,32 @@ TEST(Escalate, RespareReplacesDeadEndpoint) {
   EXPECT_EQ(fab.active_circuits(), 2u);
 }
 
+// Rung 3 reads the caller's list in place until a spare fails, then
+// excludes that spare and no other: the nearest spare (tile 9, between two
+// farther ones in the list) is rejected, and the next try lands on the
+// nearer of the two left.
+TEST(Escalate, RespareExcludesOnlyTheRejectedSpare) {
+  Fabric fab;
+  const auto id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
+  ASSERT_TRUE(id.ok());
+  DegradedCircuit victim;
+  victim.id = id.value();
+  victim.dst_dead = true;
+  const GlobalTile rejected{0, 9};
+  const std::vector<GlobalTile> spares{GlobalTile{0, 31}, rejected, GlobalTile{0, 12}};
+  EscalationOptions opts;
+  opts.spare_candidates = spares;
+  opts.validate = [&](const Fabric& f, fabric::CircuitId c) {
+    return f.circuit(c)->src != rejected && f.circuit(c)->dst != rejected;
+  };
+  const auto out = escalate_repair(fab, victim, opts);
+  EXPECT_TRUE(out.recovered);
+  EXPECT_EQ(out.rung, RepairRung::kRespare);
+  EXPECT_EQ(out.attempts[rung_index(RepairRung::kRespare)], 2u);
+  ASSERT_EQ(out.circuits.size(), 2u);
+  EXPECT_EQ(fab.circuit(out.circuits[0])->dst, (GlobalTile{0, 12}));
+}
+
 TEST(Escalate, ElectricalDetourWhenOpticalRungsExhausted) {
   Fabric fab;
   const auto id = fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2);
@@ -462,7 +493,8 @@ TEST(Escalate, ElectricalDetourWhenOpticalRungsExhausted) {
   victim.id = id.value();
   victim.hard_down = true;
   EscalationOptions opts;
-  opts.spare_candidates = {GlobalTile{0, 11}};
+  const std::vector<GlobalTile> spares{GlobalTile{0, 11}};
+  opts.spare_candidates = spares;
   opts.electrical_feasible = true;
   opts.validate = [](const Fabric&, fabric::CircuitId) { return false; };
   const auto out = escalate_repair(fab, victim, opts);
@@ -510,7 +542,8 @@ TEST(Escalate, FailedRungsRollBackToExactState) {
   victim.id = id.value();
   victim.hard_down = true;
   EscalationOptions opts;
-  opts.spare_candidates = {GlobalTile{0, 27}, GlobalTile{1, 20}};
+  const std::vector<GlobalTile> spares{GlobalTile{0, 27}, GlobalTile{1, 20}};
+  opts.spare_candidates = spares;
   opts.validate = [](const Fabric&, fabric::CircuitId) { return false; };
   const auto out = escalate_repair(fab, victim, opts);
   EXPECT_EQ(out.rung, RepairRung::kRackMigration);
@@ -552,7 +585,8 @@ TEST(Escalate, BudgetExhaustionLeavesVictimEstablished) {
   EscalationOptions opts;
   // Every replacement is rejected, so each reroute/respare attempt burns
   // probe latency; a sub-attempt budget exhausts after the first charge.
-  opts.spare_candidates = {GlobalTile{0, 11}};
+  const std::vector<GlobalTile> spares{GlobalTile{0, 11}};
+  opts.spare_candidates = spares;
   opts.validate = [](const Fabric&, fabric::CircuitId) { return false; };
   opts.budget = Duration::micros(0.001);
   const auto out = escalate_repair(fab, victim, opts);

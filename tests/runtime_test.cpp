@@ -668,6 +668,28 @@ TEST(TrainingRunDigests, AccountingMatchesPinnedValues) {
   }
 }
 
+// A misclassification respares the flapper onto a spare at the ring's
+// width, so the member count and the slowest circuit hold: the bucket pick
+// and costs are derived once, at construction, and every later rebuild
+// returns early (one tuner miss, no hit).
+TEST(TrainingRunCosts, NaiveResparesDeriveTheCostsOnce) {
+  RunConfig c;  // lpbench's train_gray controller at 400 flaps/chip-hour
+  c.iterations = 200;
+  c.seed = 1;
+  c.mtbf_hours = 1e9;
+  c.flap_rate_per_hour = 400.0;
+  c.recovery.rung_backoff.base = Duration::micros(50.0);
+  c.recovery.rung_backoff.jitter_fraction = 0.5;
+  c.gray_hysteresis = false;
+  TrainingRun run{c};
+  const RunReport r = run.run();
+  EXPECT_EQ(r.misclassifications, 155u);
+  EXPECT_EQ(r.elastic_shrinks, 0u);
+  EXPECT_EQ(r.ring_size_final, r.ring_size_initial);
+  EXPECT_EQ(run.tuner().misses(), 1u);
+  EXPECT_EQ(run.tuner().hits(), 0u);
+}
+
 TEST(TrainingRun, PhotonicRecoveryBeatsElectricalMigration) {
   RunConfig config;
   config.iterations = 20;
